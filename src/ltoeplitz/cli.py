@@ -13,7 +13,9 @@ malformed sizes, missing files).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,10 +144,12 @@ def parse_args(argv=None) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.tolerance is not None and not config.tolerance > 0:
-        raise CliInputError("--tol must be positive")
+    if config.tolerance is not None and not 0 < config.tolerance < math.inf:
+        raise CliInputError("--tol must be positive and finite")
     if not 0.0 < config.rank_tol < 1.0:
         raise CliInputError("--rank-tol must lie in (0, 1)")
+    if not cmath.isfinite(config.lam):
+        raise CliInputError("--lambda-re and --lambda-im must be finite")
     if abs(config.lam) > 1.0 + symbol_mod.UNIT_CIRCLE_TOL:
         raise CliInputError(f"|lambda| = {abs(config.lam)} lies outside the closed unit disc")
 

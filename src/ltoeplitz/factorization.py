@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .operator import LambdaToeplitzSpec, TruncatedOperator, powers, truncate
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
@@ -111,6 +110,17 @@ def build_diag_unitary(lam: complex, size: int) -> TruncatedOperator:
     )
 
 
+def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Matrix with entry (i, j) = col[i - j] for i >= j and row[j - i] above.
+
+    Entry (i, j) is vals[n - 1 + i - j] with vals = row[:0:-1] ++ col: a copy
+    of reversed sliding windows over vals, so it equals
+    ``scipy.linalg.toeplitz(col, row)`` bit for bit and needs no index array.
+    """
+    vals = np.concatenate((row[:0:-1], col))
+    return np.lib.stride_tricks.sliding_window_view(vals, col.size)[:, ::-1].copy()
+
+
 def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
     """Constant-diagonal matrix entry(n, m) = a_{n-m}."""
     n = int(size)
@@ -118,7 +128,7 @@ def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
     row = np.array([symbol.coefficient(-k) for k in range(n)], dtype=complex)
     return TruncatedOperator(
         size=n,
-        entries=toeplitz(col, row),
+        entries=_toeplitz(col, row),
         provenance=f"toeplitz(support={list(symbol.support)}) N={n}",
     )
 
@@ -127,7 +137,7 @@ def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOpera
     """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}."""
     n = int(size)
     col = np.array([w.weight.coefficient(k) for k in range(n)], dtype=complex)
-    lower = toeplitz(col, np.zeros(n, dtype=complex))
+    lower = _toeplitz(col, np.zeros(n, dtype=complex))
     entries = lower * powers(w.multiplier, n)[np.newaxis, :]
     return TruncatedOperator(
         size=n,

@@ -9,12 +9,13 @@ column a_n.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol
 
@@ -91,10 +92,24 @@ def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
     return (spec.lam ** min(n, m)) * spec.symbol.coefficient(n - m)
 
 
+def _env_budget_mb() -> float:
+    """The budget from ``LT_MEM_BUDGET_MB``, or the default when it is unset."""
+    raw = os.environ.get(MEM_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_MEM_BUDGET_MB
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = math.nan
+    if not math.isfinite(budget):
+        raise ValueError(f"{MEM_BUDGET_ENV}={raw!r} is not a finite number of megabytes")
+    return budget
+
+
 def dense_size_limit(budget_mb: float | None = None) -> int:
     """Largest N whose dense N x N complex matrix fits the memory budget."""
     if budget_mb is None:
-        budget_mb = float(os.environ.get(MEM_BUDGET_ENV, DEFAULT_MEM_BUDGET_MB))
+        budget_mb = _env_budget_mb()
     if budget_mb <= 0:
         return 0
     return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
@@ -109,11 +124,7 @@ def truncate(
         raise ValueError("truncation size must be >= 1")
     limit = dense_size_limit(budget_mb)
     if n > limit:
-        budget = (
-            budget_mb
-            if budget_mb is not None
-            else float(os.environ.get(MEM_BUDGET_ENV, DEFAULT_MEM_BUDGET_MB))
-        )
+        budget = budget_mb if budget_mb is not None else _env_budget_mb()
         needed = n * n * _BYTES_PER_ENTRY / 2**20
         raise MemoryBudgetExceeded(
             f"N={n} needs {needed:.1f} MB dense storage; "
@@ -142,9 +153,33 @@ def apply_naive(op: TruncatedOperator, x) -> np.ndarray:
     return op.entries @ vec
 
 
+@functools.lru_cache(maxsize=None)
+def _smooth_numbers(bits: int) -> tuple[int, ...]:
+    """Ascending integers up to 2**bits with no prime factor above 11."""
+    limit = 1 << bits
+    numbers = [1]
+    for prime in (2, 3, 5, 7, 11):
+        multiples = []
+        for base in numbers:
+            while base <= limit:
+                multiples.append(base)
+                base *= prime
+        numbers = multiples
+    return tuple(sorted(numbers))
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target: a length numpy's FFT does quickly.
+
+    Equals ``scipy.fft.next_fast_len(target)`` for complex transforms.
+    """
+    numbers = _smooth_numbers(max(int(target) - 1, 1).bit_length())
+    return numbers[bisect.bisect_left(numbers, target)]
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     full = a.size + b.size - 1
-    size = next_fast_len(full)
+    size = _next_fast_len(full)
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:full]
 
 

@@ -7,6 +7,7 @@ fixed configuration always yields byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +33,8 @@ def _render_json(obj, level: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {float(obj)!r} as JSON")
         return fmt_float(obj)
     if isinstance(obj, Mapping):
         if not obj:
@@ -86,28 +89,49 @@ def vector_csv_text(values: np.ndarray) -> str:
     return csv_text("k,re,im", rows)
 
 
-def read_vector_csv(path) -> np.ndarray:
+def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:
+    """Rows of a numeric CSV with the given columns; every field must be finite."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
-        raise ValueError(f"{path}: no vector entries")
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: expected columns k,re,im")
+        raise ValueError(f"{path}: no {what} entries")
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{path}: expected columns {','.join(columns)}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: field {columns[col]!r} of data row {row + 1} is not finite ({data[row, col]!r})"
+        )
+    return data
+
+
+def read_vector_csv(path) -> np.ndarray:
+    data = _read_csv_table(path, ("k", "re", "im"), "vector")
     if not np.array_equal(data[:, 0], np.arange(data.shape[0])):
         raise ValueError(f"{path}: vector indices must run 0..N-1 in order")
     return data[:, 1] + 1j * data[:, 2]
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"{path}: no matrix entries")
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected columns n,m,re,im")
+    data = _read_csv_table(path, ("n", "m", "re", "im"), "matrix")
     size = int(data[:, :2].max()) + 1
     if data.shape[0] != size * size:
         raise ValueError(f"{path}: expected {size * size} entries for an {size}x{size} matrix")
+    index = data[:, :2]
+    if np.any(index < 0) or np.any(index != np.floor(index)):
+        raise ValueError(f"{path}: fields 'n' and 'm' must be nonnegative integers")
+    rows, cols = index.astype(int).T
+    flat, counts = np.unique(rows * size + cols, return_counts=True)
+    if flat.size != data.shape[0]:
+        dup = flat[counts > 1][0]
+        gap = np.setdiff1d(np.arange(size * size), flat)[0]
+        raise ValueError(
+            f"{path}: (n, m) row ({dup // size}, {dup % size}) is repeated and "
+            f"({gap // size}, {gap % size}) is missing; fields 'n', 'm' must name "
+            "every entry exactly once"
+        )
     out = np.zeros((size, size), dtype=complex)
-    out[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2] + 1j * data[:, 3]
+    out[rows, cols] = data[:, 2] + 1j * data[:, 3]
     return out
 
 

@@ -187,15 +187,23 @@ class FourierSymbol:
         )
 
     def evaluate_on_grid(self, grid_size: int) -> np.ndarray:
-        """Values sum_n a_n e^{i n theta_k} at theta_k = 2 pi k / grid_size."""
+        """Values sum_n a_n e^{i n theta_k} at theta_k = 2 pi k / grid_size.
+
+        At the grid points e^{i n theta_k} = e^{i (n mod M) theta_k}, so the
+        coefficients are folded modulo M into one length-M array and a single
+        inverse FFT, scaled by M, gives every value. The fold is exact for
+        every index, negative ones and |n| >= M included, and costs
+        O(K + M log M) for K stored coefficients.
+        """
         m = int(grid_size)
         if m < 1:
             raise ValueError("grid_size must be >= 1")
-        theta = 2.0 * np.pi * np.arange(m) / m
-        values = np.zeros(m, dtype=complex)
-        for n, v in self.items():
-            values += v * np.exp(1j * n * theta)
-        return values
+        folded = np.zeros(m, dtype=complex)
+        count = len(self._coeffs)
+        slots = np.fromiter((n % m for n in self._coeffs), dtype=np.intp, count=count)
+        values = np.fromiter(self._coeffs.values(), dtype=complex, count=count)
+        np.add.at(folded, slots, values)
+        return np.fft.ifft(folded) * m
 
     def sup_norm_estimate(self, grid_size: int) -> float:
         """Grid maximum of |phi|: a lower bound on the sup norm.
@@ -226,6 +234,13 @@ class FourierSymbol:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad symbol JSON: {exc}") from exc
+        for n, value in pairs:
+            for field, part in (("re", value.real), ("im", value.imag)):
+                if not math.isfinite(part):
+                    raise ValueError(
+                        f"bad symbol JSON: field {field!r} of coefficient n={n} "
+                        f"is not finite ({part!r})"
+                    )
         return cls.from_coefficients(pairs)
 
 

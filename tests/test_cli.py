@@ -89,6 +89,61 @@ class TestExitStatusContract:
         assert "budget" in capsys.readouterr().err
 
 
+class TestBoundaryInput:
+    """Bad input fails at the boundary with exit 2 and a message naming the field."""
+
+    def test_nan_symbol_coefficient(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"coefficients": [{"n": 0, "re": 1.0, "im": 0.0}, {"n": 2, "re": NaN}]}')
+        assert run_cli("hsnorm", "--symbol", bad, "--lambda-re", "0.5", "--sizes", "4") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'re'" in err and "n=2" in err
+
+    def test_infinite_vector_entry(self, two_cos_path, tmp_path, capsys):
+        vec = tmp_path / "x.csv"
+        vec.write_text("k,re,im\n0,1.0,0.0\n1,0.5,inf\n")
+        assert run_cli("apply", "--symbol", two_cos_path, "--vector", vec) == 2
+        err = capsys.readouterr().err
+        assert str(vec) in err and "'im'" in err
+
+    def test_nan_matrix_entry(self, two_cos_path, tmp_path, capsys):
+        b_path = tmp_path / "b.csv"
+        b_path.write_text("n,m,re,im\n0,0,1,0\n0,1,nan,0\n1,0,0,0\n1,1,0,0\n")
+        assert run_cli(
+            "solve-recurrence", "--symbol", two_cos_path, "--sizes", "2", "--b-matrix", b_path,
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(b_path) in err and "'re'" in err
+
+    def test_duplicate_matrix_row(self, two_cos_path, tmp_path, capsys):
+        # (0, 0) twice and (0, 1) missing: the count of rows is still 4
+        b_path = tmp_path / "b.csv"
+        b_path.write_text("n,m,re,im\n0,0,1,0\n0,0,2,0\n1,0,0,0\n1,1,0,0\n")
+        assert run_cli(
+            "solve-recurrence", "--symbol", two_cos_path, "--sizes", "2", "--b-matrix", b_path,
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(b_path) in err and "(0, 0)" in err and "(0, 1)" in err
+
+    def test_non_numeric_memory_budget(self, two_cos_path, monkeypatch, capsys):
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "abc")
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4") == 2
+        assert "LT_MEM_BUDGET_MB='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--lambda-re", "nan"), ("--tol", "inf")])
+    def test_non_finite_flag(self, two_cos_path, capsys, flag, value):
+        assert run_cli(
+            "verify", "--identity", "wco-sum", "--symbol", two_cos_path, "--sizes", "4", flag, value,
+        ) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_json_writer_refuses_nan(self):
+        from ltoeplitz.output import dumps_json
+
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json({"closed_form": math.nan})
+
+
 class TestBuild:
     def test_zero_lambda_csv_structure(self, tmp_path):
         sym = tmp_path / "mode.json"
