@@ -29,9 +29,11 @@ from .output import (
     dumps_json,
     fmt_float,
     matrix_csv_text,
+    matrix_records,
     read_matrix_csv,
     read_vector_csv,
     vector_csv_text,
+    vector_records,
     write_text,
 )
 
@@ -200,21 +202,20 @@ def _emit_per_size(config: RunConfig, blocks: list[tuple[int, str]], summary: st
     print(summary)
 
 
+def _matrix_text(config: RunConfig, entries: np.ndarray, **fields) -> str:
+    """A dense matrix as CSV rows, or as JSON with its size, its entries and ``fields``."""
+    if config.fmt == "csv":
+        return matrix_csv_text(entries)
+    return dumps_json({"N": entries.shape[0], "entries": matrix_records(entries), **fields})
+
+
 # -- command handlers ----------------------------------------------------------
 
 
 def _cmd_build(config: RunConfig) -> int:
     size = _single_size(config)
     op = operator.truncate(_make_spec(config), size)
-    if config.fmt == "csv":
-        text = matrix_csv_text(op.entries)
-    else:
-        entries = [
-            {"n": n, "m": m, "re": op.entries[n, m].real, "im": op.entries[n, m].imag}
-            for n in range(size)
-            for m in range(size)
-        ]
-        text = dumps_json({"N": size, "provenance": op.provenance, "entries": entries})
+    text = _matrix_text(config, op.entries, provenance=op.provenance)
     _emit(config, text, f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}")
     return EXIT_OK
 
@@ -233,8 +234,7 @@ def _cmd_apply(config: RunConfig) -> int:
         text = vector_csv_text(result)
     else:
         text = dumps_json(
-            {"N": int(vec.size), "method": config.method,
-             "values": [{"k": k, "re": v.real, "im": v.imag} for k, v in enumerate(result)]}
+            {"N": int(vec.size), "method": config.method, "values": vector_records(result)}
         )
     _emit(config, text, f"applied ({config.method}) at N={vec.size}")
     return EXIT_OK
@@ -365,25 +365,12 @@ def _cmd_solve_recurrence(config: RunConfig) -> int:
         forcing = np.zeros((size, size), dtype=complex)
     solved = operator.solve_recurrence(spec.lam, forcing, row, col)
     summary = f"solved recurrence at N={size}"
-    diff = None
+    fields = {}
     if not config.b_matrix_path:
         diff = float(np.max(np.abs(solved - operator.truncate(spec, size).entries)))
         summary += f", max diff vs truncate = {fmt_float(diff)}"
-    if config.fmt == "csv":
-        text = matrix_csv_text(solved)
-    else:
-        payload = {
-            "N": size,
-            "entries": [
-                {"n": n, "m": m, "re": solved[n, m].real, "im": solved[n, m].imag}
-                for n in range(size)
-                for m in range(size)
-            ],
-        }
-        if diff is not None:
-            payload["max_diff_vs_truncate"] = diff
-        text = dumps_json(payload)
-    _emit(config, text, summary)
+        fields["max_diff_vs_truncate"] = diff
+    _emit(config, _matrix_text(config, solved, **fields), summary)
     return EXIT_OK
 
 

@@ -41,6 +41,7 @@ __all__ = [
 DEFAULT_UNITARY_TOL = 1e-12
 DEFAULT_WCO_SUM_TOL = 1e-14
 DEFAULT_TOEPLITZ_COMP_TOL = 1e-14
+_KERNEL_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -240,22 +241,34 @@ def build_kernel_grid(spec: LambdaToeplitzSpec, grid_size: int) -> KernelGrid:
     return KernelGrid(m, (plus_vals[:, np.newaxis] + minus_vals[np.newaxis, :]) / denom)
 
 
-def build_kernel_grid_sampled_tau(weight: FourierSymbol, tau_samples) -> KernelGrid:
-    """Kernel weight(z_j) / (1 - conj(z_k) tau_j) for grid-sampled tau with max|tau| < 1."""
+def _checked_tau(tau_samples) -> np.ndarray:
     tau = np.asarray(tau_samples, dtype=complex).ravel()
     if tau.size == 0 or np.max(np.abs(tau)) >= 1.0:
         raise ValueError("sampled tau must be nonempty and stay strictly inside the disc")
+    return tau
+
+
+def _sampled_tau_kernel_rows(weight_vals: np.ndarray, tau: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of weight(z_j) / (1 - conj(z_k) tau_j) on the M = tau.size point grid."""
+    return weight_vals[rows, np.newaxis] / (1.0 - np.outer(tau[rows], _grid_phase(tau.size).conj()))
+
+
+def build_kernel_grid_sampled_tau(weight: FourierSymbol, tau_samples) -> KernelGrid:
+    """Kernel weight(z_j) / (1 - conj(z_k) tau_j) for grid-sampled tau with max|tau| < 1."""
+    tau = _checked_tau(tau_samples)
     m = tau.size
-    weight_vals = weight.evaluate_on_grid(m)
-    denom = 1.0 - np.outer(tau, _grid_phase(m).conj())
-    return KernelGrid(m, weight_vals[:, np.newaxis] / denom)
+    return KernelGrid(m, _sampled_tau_kernel_rows(weight.evaluate_on_grid(m), tau, slice(None)))
+
+
+def _wco_tau(w: WeightedCompositionSpec, grid_size: int) -> np.ndarray:
+    if abs(w.multiplier) >= 1.0:
+        raise ValueError("kernel grid requires |multiplier| < 1")
+    return w.multiplier * _grid_phase(int(grid_size))
 
 
 def build_wco_kernel_grid(w: WeightedCompositionSpec, grid_size: int) -> KernelGrid:
     """Kernel of W as an integral operator, for tau(z) = multiplier * z with |multiplier| < 1."""
-    if abs(w.multiplier) >= 1.0:
-        raise ValueError("kernel grid requires |multiplier| < 1")
-    return build_kernel_grid_sampled_tau(w.weight, w.multiplier * _grid_phase(int(grid_size)))
+    return build_kernel_grid_sampled_tau(w.weight, _wco_tau(w, grid_size))
 
 
 def quadrature_apply(grid: KernelGrid, samples) -> np.ndarray:
@@ -276,8 +289,17 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
 
     For tau(z) = c z the exact value is l2_norm(weight) / sqrt(1 - |c|^2);
     the Frobenius norms of the matrix truncations increase to the same limit.
+    The kernel is summed _KERNEL_BLOCK_ROWS rows at a time, so the memory
+    needed grows like M, not M^2.
     """
-    return kernel_grid_l2_norm(build_wco_kernel_grid(w, grid_size))
+    tau = _checked_tau(_wco_tau(w, grid_size))
+    m = tau.size
+    weight_vals = w.weight.evaluate_on_grid(m)
+    total = 0.0
+    for start in range(0, m, _KERNEL_BLOCK_ROWS):
+        block = _sampled_tau_kernel_rows(weight_vals, tau, slice(start, start + _KERNEL_BLOCK_ROWS))
+        total += np.vdot(block, block).real
+    return math.sqrt(total) / m
 
 
 def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -19,6 +20,84 @@ FLOAT_FORMAT = ".17g"
 
 def fmt_float(value: float) -> str:
     return format(float(value), FLOAT_FORMAT)
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot write the non-finite number {float(value)!r}")
+    return value
+
+
+class Records:
+    """Equal-length named 1-D integer or float columns, one record per row.
+
+    The writers format every row with one %-template, ``%d`` for an integer
+    column and ``%.17g`` for a float column (the bytes of ``fmt_float`` for
+    every finite float). A non-finite float raises ``ValueError`` naming the
+    column and the first bad row, so neither JSON nor CSV can hold one.
+    ``dumps_json`` writes a ``Records`` as the list of objects with sorted
+    keys that it writes for the equivalent list of dicts.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        self.columns = {name: np.asarray(col) for name, col in columns.items()}
+        shapes = {col.shape for col in self.columns.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError("records need equal-length 1-D columns")
+        self.size = next(iter(shapes))[0]
+        self.codes = {}
+        for name, col in self.columns.items():
+            if col.dtype.kind in "iu":
+                self.codes[name] = "%d"
+            elif col.dtype.kind == "f":
+                bad = np.flatnonzero(~np.isfinite(col))
+                if bad.size:
+                    raise ValueError(
+                        f"cannot write the non-finite number {float(col[bad[0]])!r} "
+                        f"in column {name!r}, row {bad[0]}"
+                    )
+                self.codes[name] = "%.17g"
+            else:
+                raise TypeError(f"column {name!r} has unsupported dtype {col.dtype}")
+
+    def rows(self, template: str, names: Sequence[str], sep: str) -> str:
+        """Every row through ``template``, whose fields take the ``names`` columns in order."""
+        flat = chain.from_iterable(zip(*(self.columns[name].tolist() for name in names)))
+        return sep.join([template] * self.size) % tuple(flat)
+
+
+def matrix_records(entries: np.ndarray) -> Records:
+    """Row-major records ``n, m, re, im`` of a complex matrix."""
+    n_rows, n_cols = entries.shape
+    return Records({
+        "n": np.repeat(np.arange(n_rows), n_cols),
+        "m": np.tile(np.arange(n_cols), n_rows),
+        "re": entries.real.ravel(),
+        "im": entries.imag.ravel(),
+    })
+
+
+def vector_records(values: np.ndarray) -> Records:
+    """Records ``k, re, im`` of a complex vector."""
+    return Records({"k": np.arange(values.size), "re": values.real, "im": values.imag})
+
+
+def _records_json(records: Records, level: int) -> str:
+    if not records.size:
+        return "[]"
+    inner = "  " * (level + 1)
+    keys = sorted(records.columns)
+    fields = ",\n".join(
+        f"{inner}  {json.dumps(str(key))}: ".replace("%", "%%") + records.codes[key] for key in keys
+    )
+    body = records.rows(f"{inner}{{\n{fields}\n{inner}}}", keys, ",\n")
+    return "[\n" + body + "\n" + "  " * level + "]"
+
+
+def _records_csv(records: Records) -> str:
+    names = list(records.columns)
+    template = "\n" + ",".join(records.codes[name] for name in names)
+    return ",".join(names) + records.rows(template, names, "") + "\n"
 
 
 def _render_json(obj, level: int) -> str:
@@ -33,9 +112,9 @@ def _render_json(obj, level: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {float(obj)!r} as JSON")
-        return fmt_float(obj)
+        return fmt_float(_finite(obj))
+    if isinstance(obj, Records):
+        return _records_json(obj, level)
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
@@ -63,7 +142,7 @@ def _fmt_cell(cell) -> str:
     if isinstance(cell, (int, np.integer)):
         return str(int(cell))
     if isinstance(cell, (float, np.floating)):
-        return fmt_float(cell)
+        return fmt_float(_finite(cell))
     return str(cell)
 
 
@@ -75,18 +154,12 @@ def csv_text(header: str, rows: Iterable[Sequence]) -> str:
 
 def matrix_csv_text(entries: np.ndarray) -> str:
     """Row-major dump of a complex matrix, header ``n,m,re,im``."""
-    n_rows, n_cols = entries.shape
-    rows = (
-        (n, m, entries[n, m].real, entries[n, m].imag)
-        for n in range(n_rows)
-        for m in range(n_cols)
-    )
-    return csv_text("n,m,re,im", rows)
+    return _records_csv(matrix_records(entries))
 
 
 def vector_csv_text(values: np.ndarray) -> str:
-    rows = ((k, v.real, v.imag) for k, v in enumerate(values))
-    return csv_text("k,re,im", rows)
+    """Dump of a complex vector, header ``k,re,im``."""
+    return _records_csv(vector_records(values))
 
 
 def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:

@@ -137,6 +137,37 @@ class TestBoundaryInput:
         ) == 2
         assert flag in capsys.readouterr().err
 
+    def test_apply_csv_refuses_overflow(self, tmp_path, capsys):
+        # (1 + z) applied to 1e308 entries at lambda = 1 overflows to inf/nan
+        sym = tmp_path / "one_plus_z.json"
+        write_symbol_file(FourierSymbol({0: 1.0, 1: 1.0}), sym)
+        vec = tmp_path / "x.csv"
+        vec.write_text("k,re,im\n0,1e308,1e308\n1,1e308,1e308\n2,1e308,1e308\n")
+        out = tmp_path / "y.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                "apply", "--symbol", sym, "--lambda-re", "1", "--vector", vec,
+                "--format", "csv", "--out", out,
+            )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "column 're', row 0" in err
+
+    def test_build_csv_refuses_overflow(self, tmp_path, capsys):
+        # lambda * a_0 = (0.6 + 0.8i)(1.7e308 + 1.7e308i) has imaginary part 1.4 * 1.7e308
+        sym = tmp_path / "big.json"
+        write_symbol_file(FourierSymbol({0: complex(1.7e308, 1.7e308)}), sym)
+        out = tmp_path / "m.csv"
+        with np.errstate(over="ignore"):
+            code = run_cli(
+                "build", "--symbol", sym, "--lambda-re", "0.6", "--lambda-im", "0.8",
+                "--sizes", "2", "--format", "csv", "--out", out,
+            )
+        assert code == 2
+        assert not out.exists()
+        assert "column 'im', row 3" in capsys.readouterr().err
+
     def test_json_writer_refuses_nan(self):
         from ltoeplitz.output import dumps_json
 

@@ -289,6 +289,18 @@ class TestKernelHsNorm:
         assert norms[-1] <= closed + 1e-12
         assert abs(norms[-1] - closed) < 1e-12
 
+    @pytest.mark.parametrize("grid_size", [1, 7, 64, 1000])
+    def test_blocked_sum_matches_full_grid(self, grid_size):
+        rng = np.random.default_rng(grid_size)
+        w = WeightedCompositionSpec(random_symbol(rng, analytic=True), 0.7 * cmath.exp(0.3j))
+        full = kernel_grid_l2_norm(build_wco_kernel_grid(w, grid_size))
+        assert kernel_hs_norm(w, grid_size) == pytest.approx(full, rel=1e-13, abs=0.0)
+
+    def test_rejects_empty_grid(self):
+        w = WeightedCompositionSpec(FourierSymbol({0: 1.0}), 0.5)
+        with pytest.raises(ValueError, match="nonempty"):
+            kernel_hs_norm(w, 0)
+
     def test_general_tau_via_sampling(self):
         psi = FourierSymbol({0: 1.0, 1: -0.5j})
         m_grid = 512

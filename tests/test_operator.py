@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltoeplitz import (
     FourierSymbol,
@@ -324,3 +325,32 @@ class TestCsvFormats:
 def test_recurrence_residual_property(phi, lam):
     spec = LambdaToeplitzSpec(lam, phi)
     assert recurrence_residual(truncate(spec, 9), lam) <= 1e-13
+
+
+def _random_vector(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@given(symbols(), disc_lambdas, st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_fast_matches_dense_product_property(phi, lam, n, seed):
+    spec = LambdaToeplitzSpec(lam, phi)
+    x = _random_vector(seed, n)
+    # every output entry is a sum of |a_k| |lambda|^j |x_i| <= sum_k |a_k| max|x|
+    scale = sum(abs(v) for _, v in phi.items()) * float(np.max(np.abs(x)))
+    err = float(np.max(np.abs(apply_fast(spec, x) - truncate(spec, n).entries @ x)))
+    assert err <= 1e-11 * scale
+
+
+@given(symbols(), disc_lambdas, st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_fast_adjoint_property(phi, lam, n, seed):
+    """<T x, y> = <x, T* y>, with T* the operator for (conj lambda, conj phi)."""
+    spec = LambdaToeplitzSpec(lam, phi)
+    adjoint = LambdaToeplitzSpec(complex(lam).conjugate(), phi.conjugate())
+    x, y = _random_vector(seed, n), _random_vector(seed + 1, n)
+    lhs = np.vdot(y, apply_fast(spec, x))
+    rhs = np.vdot(apply_fast(adjoint, y), x)
+    scale = sum(abs(v) for _, v in phi.items()) * n * float(np.max(np.abs(x)) * np.max(np.abs(y)))
+    assert abs(lhs - rhs) <= 1e-11 * scale

@@ -1,0 +1,48 @@
+"""Smoke runs of the experiment scripts in ``scripts/``, each in its own process."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize(
+    "name, args, header, count",
+    [
+        ("sawtooth_growth.py", ["--sizes", "8,16"], ["N", "operator_norm"], 2),
+        ("decay_margins.py", ["--seed", "3", "--size", "9"], ["k", "sigma_k"], 9),
+    ],
+)
+def test_script_writes_csv(tmp_path, name, args, header, count):
+    out = tmp_path / "out.csv"
+    proc = run_script(name, *args, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = read_rows(out)
+    assert rows[0] == header
+    assert len(rows) == 1 + count
+    assert all(float(value) >= 0 for row in rows[1:] for value in row)
+
+
+def test_hs_convergence_runs():
+    proc = run_script("hs_convergence.py", "--sizes", "4,8")
+    assert proc.returncode == 0, proc.stderr
+    assert "closed form" in proc.stdout and "N=     8" in proc.stdout
