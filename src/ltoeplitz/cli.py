@@ -17,7 +17,6 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,25 +51,6 @@ SAWTOOTH_GROWTH_FACTOR = 1.5
 
 class CliInputError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lam: complex = 0j
-    symbol_path: str | None = None
-    sizes: tuple[int, ...] = (64,)
-    tolerance: float | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    identity: str | None = None
-    rank_tol: float = spectral.DEFAULT_RANK_TOL
-    vector_path: str | None = None
-    method: str = "fast"
-    b_matrix_path: str | None = None
-    grid_size: int = 1024
-    wco: bool = False
-    symbol_out: str | None = None
 
 
 def _parse_sizes(raw: str) -> tuple[int, ...]:
@@ -124,59 +104,46 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_arg_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        lam=complex(ns.lambda_re, ns.lambda_im),
-        symbol_path=ns.symbol_path,
-        sizes=_parse_sizes(ns.sizes),
-        tolerance=ns.tolerance,
-        output_path=ns.output_path,
-        fmt=ns.fmt,
-        identity=getattr(ns, "identity", None),
-        rank_tol=ns.rank_tol,
-        vector_path=getattr(ns, "vector_path", None),
-        method=getattr(ns, "method", "fast"),
-        b_matrix_path=getattr(ns, "b_matrix_path", None),
-        grid_size=getattr(ns, "grid_size", 1024),
-        wco=getattr(ns, "wco", False),
-        symbol_out=getattr(ns, "symbol_out", None),
-    )
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed flags, with ``lam`` and ``sizes`` set from their raw forms."""
+    args = build_arg_parser().parse_args(argv)
+    args.lam = complex(args.lambda_re, args.lambda_im)
+    args.sizes = _parse_sizes(args.sizes)
+    return args
 
 
-def _validate(config: RunConfig) -> None:
-    if config.tolerance is not None and not 0 < config.tolerance < math.inf:
+def _validate(args: argparse.Namespace) -> None:
+    if args.tolerance is not None and not 0 < args.tolerance < math.inf:
         raise CliInputError("--tol must be positive and finite")
-    if not 0.0 < config.rank_tol < 1.0:
+    if not 0.0 < args.rank_tol < 1.0:
         raise CliInputError("--rank-tol must lie in (0, 1)")
-    if not cmath.isfinite(config.lam):
+    if not cmath.isfinite(args.lam):
         raise CliInputError("--lambda-re and --lambda-im must be finite")
-    if abs(config.lam) > 1.0 + symbol_mod.UNIT_CIRCLE_TOL:
-        raise CliInputError(f"|lambda| = {abs(config.lam)} lies outside the closed unit disc")
+    if abs(args.lam) > 1.0 + symbol_mod.UNIT_CIRCLE_TOL:
+        raise CliInputError(f"|lambda| = {abs(args.lam)} lies outside the closed unit disc")
 
 
-def _load_symbol(config: RunConfig) -> symbol_mod.FourierSymbol:
-    if not config.symbol_path:
-        raise CliInputError(f"command {config.command!r} needs --symbol <path>")
+def _load_symbol(args: argparse.Namespace) -> symbol_mod.FourierSymbol:
+    if not args.symbol_path:
+        raise CliInputError(f"command {args.command!r} needs --symbol <path>")
     try:
-        return symbol_mod.read_symbol_file(config.symbol_path)
+        return symbol_mod.read_symbol_file(args.symbol_path)
     except json.JSONDecodeError as exc:
         raise CliInputError(
-            f"{config.symbol_path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{args.symbol_path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:
-        raise CliInputError(f"{config.symbol_path}: {exc}") from exc
+        raise CliInputError(f"{args.symbol_path}: {exc}") from exc
 
 
-def _make_spec(config: RunConfig) -> operator.LambdaToeplitzSpec:
-    return operator.LambdaToeplitzSpec(config.lam, _load_symbol(config))
+def _make_spec(args: argparse.Namespace) -> operator.LambdaToeplitzSpec:
+    return operator.LambdaToeplitzSpec(args.lam, _load_symbol(args))
 
 
-def _single_size(config: RunConfig) -> int:
-    if len(config.sizes) != 1:
-        raise CliInputError(f"command {config.command!r} takes exactly one size")
-    return config.sizes[0]
+def _single_size(args: argparse.Namespace) -> int:
+    if len(args.sizes) != 1:
+        raise CliInputError(f"command {args.command!r} takes exactly one size")
+    return args.sizes[0]
 
 
 def _sized_path(path: str, size: int) -> str:
@@ -184,27 +151,27 @@ def _sized_path(path: str, size: int) -> str:
     return str(p.with_name(f"{p.stem}_N{size}{p.suffix}"))
 
 
-def _emit(config: RunConfig, text: str, summary: str | None = None) -> None:
-    write_text(config.output_path, text)
-    if config.output_path is not None and summary:
+def _emit(args: argparse.Namespace, text: str, summary: str | None = None) -> None:
+    write_text(args.output_path, text)
+    if args.output_path is not None and summary:
         print(summary)
 
 
-def _emit_per_size(config: RunConfig, blocks: list[tuple[int, str]], summary: str) -> None:
-    if config.output_path is None:
+def _emit_per_size(args: argparse.Namespace, blocks: list[tuple[int, str]], summary: str) -> None:
+    if args.output_path is None:
         sys.stdout.write("\n".join(text.rstrip("\n") + "\n" for _, text in blocks))
         return
     if len(blocks) == 1:
-        Path(config.output_path).write_text(blocks[0][1], encoding="utf-8")
+        Path(args.output_path).write_text(blocks[0][1], encoding="utf-8")
     else:
         for size, text in blocks:
-            Path(_sized_path(config.output_path, size)).write_text(text, encoding="utf-8")
+            Path(_sized_path(args.output_path, size)).write_text(text, encoding="utf-8")
     print(summary)
 
 
-def _matrix_text(config: RunConfig, entries: np.ndarray, **fields) -> str:
+def _matrix_text(args: argparse.Namespace, entries: np.ndarray, **fields) -> str:
     """A dense matrix as CSV rows, or as JSON with its size, its entries and ``fields``."""
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return matrix_csv_text(entries)
     return dumps_json({"N": entries.shape[0], "entries": matrix_records(entries), **fields})
 
@@ -212,72 +179,72 @@ def _matrix_text(config: RunConfig, entries: np.ndarray, **fields) -> str:
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_build(config: RunConfig) -> int:
-    size = _single_size(config)
-    op = operator.truncate(_make_spec(config), size)
-    text = _matrix_text(config, op.entries, provenance=op.provenance)
-    _emit(config, text, f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}")
+def _cmd_build(args: argparse.Namespace) -> int:
+    size = _single_size(args)
+    op = operator.truncate(_make_spec(args), size)
+    text = _matrix_text(args, op.entries, provenance=op.provenance)
+    _emit(args, text, f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}")
     return EXIT_OK
 
 
-def _cmd_apply(config: RunConfig) -> int:
+def _cmd_apply(args: argparse.Namespace) -> int:
     try:
-        vec = read_vector_csv(config.vector_path)
+        vec = read_vector_csv(args.vector_path)
     except (ValueError, OSError) as exc:
         raise CliInputError(f"bad --vector file: {exc}") from exc
-    spec = _make_spec(config)
-    if config.method == "naive":
+    spec = _make_spec(args)
+    if args.method == "naive":
         result = operator.apply_naive(operator.truncate(spec, vec.size), vec)
     else:
         result = operator.apply_fast(spec, vec)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = vector_csv_text(result)
     else:
         text = dumps_json(
-            {"N": int(vec.size), "method": config.method, "values": vector_records(result)}
+            {"N": int(vec.size), "method": args.method, "values": vector_records(result)}
         )
-    _emit(config, text, f"applied ({config.method}) at N={vec.size}")
+    _emit(args, text, f"applied ({args.method}) at N={vec.size}")
     return EXIT_OK
 
 
-def _cmd_svd(config: RunConfig) -> int:
-    spec = _make_spec(config)
+def _cmd_svd(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
     reports = [
-        spectral.analyze(operator.truncate(spec, n), spec.lam, config.rank_tol)
-        for n in config.sizes
+        spectral.analyze(operator.truncate(spec, n), spec.lam, args.rank_tol)
+        for n in args.sizes
     ]
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         blocks = [
             (r.size, csv_text("k,sigma_k", r.singular_value_rows())) for r in reports
         ]
-        _emit_per_size(config, blocks, f"wrote singular values for N in {list(config.sizes)}")
+        _emit_per_size(args, blocks, f"wrote singular values for N in {list(args.sizes)}")
     else:
         text = dumps_json([r.to_json_dict() for r in reports])
-        _emit(config, text, f"analyzed N in {list(config.sizes)}")
+        _emit(args, text, f"analyzed N in {list(args.sizes)}")
     return EXIT_OK
 
 
-def _cmd_hsnorm(config: RunConfig) -> int:
-    spec = _make_spec(config)
+def _cmd_hsnorm(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
     closed = spectral.hs_norm_closed_form(spec)
     truncations = [
         {"N": n, "frobenius": float(np.linalg.norm(operator.truncate(spec, n).entries))}
-        for n in config.sizes
+        for n in args.sizes
     ]
     payload: dict = {"closed_form": closed, "truncations": truncations}
-    if config.wco:
+    if args.wco:
         w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
-        payload["grid_size"] = config.grid_size
-        payload["kernel_quadrature"] = factorization.kernel_hs_norm(w, config.grid_size)
-    if config.fmt == "csv":
+        payload["grid_size"] = args.grid_size
+        payload["kernel_quadrature"] = factorization.kernel_hs_norm(w, args.grid_size)
+    if args.fmt == "csv":
         rows = [("closed_form", "", closed)]
-        if config.wco:
-            rows.append(("kernel_quadrature", config.grid_size, payload["kernel_quadrature"]))
+        if args.wco:
+            rows.append(("kernel_quadrature", args.grid_size, payload["kernel_quadrature"]))
         rows.extend(("frobenius", t["N"], t["frobenius"]) for t in truncations)
         text = csv_text("quantity,N,value", rows)
     else:
         text = dumps_json(payload)
-    _emit(config, text, f"closed form {fmt_float(closed)}")
+    _emit(args, text, f"closed form {fmt_float(closed)}")
     return EXIT_OK
 
 
@@ -288,75 +255,75 @@ def _verification_rows(results) -> list[tuple]:
     ]
 
 
-def _emit_verifications(config: RunConfig, results, gate) -> int:
-    if config.fmt == "csv":
+def _emit_verifications(args: argparse.Namespace, results, gate) -> int:
+    if args.fmt == "csv":
         text = csv_text("identity,N,residual,tolerance,pass,variant", _verification_rows(results))
     else:
         text = dumps_json([r.to_json_dict() for r in results])
     failures = [r for r in results if gate(r) and not r.passed]
     status = "pass" if not failures else "FAIL"
-    _emit(config, text, f"{len(results)} check(s): {status}")
+    _emit(args, text, f"{len(results)} check(s): {status}")
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    spec = _make_spec(config)
-    tol = config.tolerance if config.tolerance is not None else DEFAULT_IDENTITY_TOL[config.identity]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    tol = args.tolerance if args.tolerance is not None else DEFAULT_IDENTITY_TOL[args.identity]
     results = []
-    for n in config.sizes:
-        if config.identity == "unitary":
+    for n in args.sizes:
+        if args.identity == "unitary":
             results.append(factorization.verify_unitary_factorization(spec, n, tol))
-        elif config.identity == "wco-sum":
+        elif args.identity == "wco-sum":
             results.append(factorization.verify_wco_sum(spec, n, tol))
         else:
             results.extend(factorization.verify_toeplitz_comp_factorization(spec, n, tol))
     # The as-stated toeplitz-comp residual is a diagnostic report, not a gate.
     gate = lambda r: not (r.identity == "toeplitz-comp" and r.variant == "as-stated")
-    return _emit_verifications(config, results, gate)
+    return _emit_verifications(args, results, gate)
 
 
-def _cmd_rank(config: RunConfig) -> int:
-    spec = _make_spec(config)
-    study = spectral.finite_rank_study(spec, config.sizes, config.rank_tol)
-    if config.fmt == "csv":
+def _cmd_rank(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    study = spectral.finite_rank_study(spec, args.sizes, args.rank_tol)
+    if args.fmt == "csv":
         text = csv_text("N,rank", study)
     else:
         text = dumps_json([{"N": n, "numerical_rank": r} for n, r in study])
-    _emit(config, text, f"ranks {[r for _, r in study]}")
+    _emit(args, text, f"ranks {[r for _, r in study]}")
     return EXIT_OK
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    w = factorization.WeightedCompositionSpec(_load_symbol(config), config.lam)
-    tol = config.tolerance if config.tolerance is not None else 1e-14
-    results = [spectral.wco_spectrum_check(w, n, tol) for n in config.sizes]
-    return _emit_verifications(config, results, gate=lambda r: True)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
+    tol = args.tolerance if args.tolerance is not None else 1e-14
+    results = [spectral.wco_spectrum_check(w, n, tol) for n in args.sizes]
+    return _emit_verifications(args, results, gate=lambda r: True)
 
 
-def _cmd_norms(config: RunConfig) -> int:
-    spec = _make_spec(config)
-    study = spectral.norm_convergence_study(spec, config.sizes)
+def _cmd_norms(args: argparse.Namespace) -> int:
+    spec = _make_spec(args)
+    study = spectral.norm_convergence_study(spec, args.sizes)
     twisted = spec.symbol.twist_plus(spec.lam)
-    grid = max(config.grid_size, 2 * twisted.max_abs_index + 1)
+    grid = max(args.grid_size, 2 * twisted.max_abs_index + 1)
     target = twisted.sup_norm_estimate(grid)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = csv_text("N,operator_norm", study)
     else:
         text = dumps_json(
             {"sup_norm_estimate": target,
              "norms": [{"N": n, "operator_norm": v} for n, v in study]}
         )
-    _emit(config, text, f"sup-norm estimate {fmt_float(target)}")
+    _emit(args, text, f"sup-norm estimate {fmt_float(target)}")
     return EXIT_OK
 
 
-def _cmd_solve_recurrence(config: RunConfig) -> int:
-    size = _single_size(config)
-    spec = _make_spec(config)
+def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
+    size = _single_size(args)
+    spec = _make_spec(args)
     row, col = operator.truncation_borders(spec, size)
-    if config.b_matrix_path:
+    if args.b_matrix_path:
         try:
-            forcing = read_matrix_csv(config.b_matrix_path)
+            forcing = read_matrix_csv(args.b_matrix_path)
         except (ValueError, OSError) as exc:
             raise CliInputError(f"bad --b-matrix file: {exc}") from exc
         if forcing.shape != (size, size):
@@ -366,21 +333,21 @@ def _cmd_solve_recurrence(config: RunConfig) -> int:
     solved = operator.solve_recurrence(spec.lam, forcing, row, col)
     summary = f"solved recurrence at N={size}"
     fields = {}
-    if not config.b_matrix_path:
+    if not args.b_matrix_path:
         diff = float(np.max(np.abs(solved - operator.truncate(spec, size).entries)))
         summary += f", max diff vs truncate = {fmt_float(diff)}"
         fields["max_diff_vs_truncate"] = diff
-    _emit(config, _matrix_text(config, solved, **fields), summary)
+    _emit(args, _matrix_text(args, solved, **fields), summary)
     return EXIT_OK
 
 
-def _cmd_sawtooth_demo(config: RunConfig) -> int:
-    study = spectral.sawtooth_growth_study(config.sizes)
+def _cmd_sawtooth_demo(args: argparse.Namespace) -> int:
+    study = spectral.sawtooth_growth_study(args.sizes)
     growth = study[-1][1] / study[0][1] if len(study) > 1 else None
     ok = growth is None or growth >= SAWTOOTH_GROWTH_FACTOR
-    if config.symbol_out:
-        symbol_mod.write_symbol_file(symbol_mod.sawtooth(max(config.sizes)), config.symbol_out)
-    if config.fmt == "csv":
+    if args.symbol_out:
+        symbol_mod.write_symbol_file(symbol_mod.sawtooth(max(args.sizes)), args.symbol_out)
+    if args.fmt == "csv":
         text = csv_text("N,operator_norm", study)
     else:
         text = dumps_json(
@@ -389,7 +356,7 @@ def _cmd_sawtooth_demo(config: RunConfig) -> int:
              "pass": ok}
         )
     growth_txt = "n/a" if growth is None else fmt_float(growth)
-    _emit(config, text, f"growth factor {growth_txt} ({'pass' if ok else 'FAIL'})")
+    _emit(args, text, f"growth factor {growth_txt} ({'pass' if ok else 'FAIL'})")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -407,25 +374,25 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        _validate(config)
-        return _HANDLERS[config.command](config)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError) as exc:
+        _validate(args)
+        # The writers refuse every non-finite value with exit 2, so numpy's
+        # overflow warnings on the way there would only be noise on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](args)
+    except (CliInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import LambdaToeplitzSpec, TruncatedOperator, powers, truncate
+from .operator import LambdaToeplitzSpec, TruncatedOperator, _banded, powers, truncate
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
 
 __all__ = [
@@ -111,25 +111,12 @@ def build_diag_unitary(lam: complex, size: int) -> TruncatedOperator:
     )
 
 
-def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Matrix with entry (i, j) = col[i - j] for i >= j and row[j - i] above.
-
-    Entry (i, j) is vals[n - 1 + i - j] with vals = row[:0:-1] ++ col: a copy
-    of reversed sliding windows over vals, so it equals
-    ``scipy.linalg.toeplitz(col, row)`` bit for bit and needs no index array.
-    """
-    vals = np.concatenate((row[:0:-1], col))
-    return np.lib.stride_tricks.sliding_window_view(vals, col.size)[:, ::-1].copy()
-
-
 def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
     """Constant-diagonal matrix entry(n, m) = a_{n-m}."""
     n = int(size)
-    col = np.array([symbol.coefficient(k) for k in range(n)], dtype=complex)
-    row = np.array([symbol.coefficient(-k) for k in range(n)], dtype=complex)
     return TruncatedOperator(
         size=n,
-        entries=_toeplitz(col, row),
+        entries=_banded(symbol, n, 1.0),
         provenance=f"toeplitz(support={list(symbol.support)}) N={n}",
     )
 
@@ -137,12 +124,9 @@ def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
 def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOperator:
     """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}."""
     n = int(size)
-    col = np.array([w.weight.coefficient(k) for k in range(n)], dtype=complex)
-    lower = _toeplitz(col, np.zeros(n, dtype=complex))
-    entries = lower * powers(w.multiplier, n)[np.newaxis, :]
     return TruncatedOperator(
         size=n,
-        entries=entries,
+        entries=_banded(w.weight, n, w.multiplier),
         provenance=f"weighted-comp(multiplier={w.multiplier!r}) N={n}",
     )
 
@@ -186,7 +170,8 @@ def verify_wco_sum(
     upper = build_weighted_comp(
         WeightedCompositionSpec(flipped, spec.lam.conjugate()), n
     ).entries
-    residual = float(np.max(np.abs(lhs - (lower + upper.conj().T))))
+    lower += upper.conj().T
+    residual = float(np.max(np.abs(lhs - lower)))
     return VerificationResult("wco-sum", n, residual, tol, residual <= tol)
 
 

@@ -115,6 +115,30 @@ def dense_size_limit(budget_mb: float | None = None) -> int:
     return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
 
 
+def _banded(symbol: FourierSymbol, size: int, base: complex) -> np.ndarray:
+    """N x N matrix with entry (i, j) = base^min(i, j) * a_{i-j}.
+
+    The form of every dense builder: lambda-Toeplitz (base lambda), classical
+    Toeplitz (base 1) and weighted composition (base c, analytic weight).
+    Only the stored bands are multiplied, so every other entry stays an exact
+    0j (a product 0j * p would turn into -0.0 wherever Re(p) < 0).
+    """
+    n = int(size)
+    pows = powers(base, n)
+    out = np.zeros((n, n), dtype=complex)
+    # One diagonal band per stored coefficient: offset d carries a_d * base^min.
+    for d, a in symbol.items():
+        if d >= n or d <= -n:
+            continue
+        if d >= 0:
+            rows = np.arange(d, n)
+            out[rows, rows - d] = a * pows[: n - d]
+        else:
+            cols = np.arange(-d, n)
+            out[cols + d, cols] = a * pows[: n + d]
+    return out
+
+
 def truncate(
     spec: LambdaToeplitzSpec, size: int, budget_mb: float | None = None
 ) -> TruncatedOperator:
@@ -130,19 +154,11 @@ def truncate(
             f"N={n} needs {needed:.1f} MB dense storage; "
             f"budget {budget:g} MB allows N <= {limit}"
         )
-    pows = powers(spec.lam, n)
-    out = np.zeros((n, n), dtype=complex)
-    # One diagonal band per stored coefficient: offset d carries a_d * lambda^min.
-    for d, a in spec.symbol.items():
-        if d >= n or d <= -n:
-            continue
-        if d >= 0:
-            rows = np.arange(d, n)
-            out[rows, rows - d] = a * pows[: n - d]
-        else:
-            cols = np.arange(-d, n)
-            out[cols + d, cols] = a * pows[: n + d]
-    return TruncatedOperator(size=n, entries=out, provenance=f"truncate({spec.describe()}) N={n}")
+    return TruncatedOperator(
+        size=n,
+        entries=_banded(spec.symbol, n, spec.lam),
+        provenance=f"truncate({spec.describe()}) N={n}",
+    )
 
 
 def apply_naive(op: TruncatedOperator, x) -> np.ndarray:

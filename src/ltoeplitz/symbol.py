@@ -154,20 +154,6 @@ class FourierSymbol:
             {n: (lbar**n) * v if n >= 0 else v for n, v in self._coeffs.items()}
         )
 
-    def twist_minus(self, lam: complex) -> "FourierSymbol":
-        """b_n = a_n for n >= 0 and b_n = conj(lam)^n a_n for n < 0.
-
-        Restricted to |lam| = 1: for |lam| < 1 the factors conj(lam)^n with
-        n < 0 grow without bound and the transform has no bounded meaning.
-        """
-        lam = complex(lam)
-        if not is_unimodular(lam):
-            raise ValueError("twist_minus is defined only for |lambda| = 1")
-        lbar = lam.conjugate()
-        return FourierSymbol(
-            {n: v if n >= 0 else (lbar**n) * v for n, v in self._coeffs.items()}
-        )
-
     def dilate(self, multiplier: complex) -> "FourierSymbol":
         """Analytic dilation psi(z) -> psi(c z): a_n -> c^n a_n, |c| <= 1."""
         c = complex(multiplier)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltoeplitz
 from ltoeplitz import FourierSymbol, write_symbol_file
 from ltoeplitz.cli import main
 from ltoeplitz.output import read_vector_csv, vector_csv_text
@@ -144,11 +149,10 @@ class TestBoundaryInput:
         vec = tmp_path / "x.csv"
         vec.write_text("k,re,im\n0,1e308,1e308\n1,1e308,1e308\n2,1e308,1e308\n")
         out = tmp_path / "y.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(
-                "apply", "--symbol", sym, "--lambda-re", "1", "--vector", vec,
-                "--format", "csv", "--out", out,
-            )
+        code = run_cli(
+            "apply", "--symbol", sym, "--lambda-re", "1", "--vector", vec,
+            "--format", "csv", "--out", out,
+        )
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
@@ -159,14 +163,40 @@ class TestBoundaryInput:
         sym = tmp_path / "big.json"
         write_symbol_file(FourierSymbol({0: complex(1.7e308, 1.7e308)}), sym)
         out = tmp_path / "m.csv"
-        with np.errstate(over="ignore"):
-            code = run_cli(
-                "build", "--symbol", sym, "--lambda-re", "0.6", "--lambda-im", "0.8",
-                "--sizes", "2", "--format", "csv", "--out", out,
-            )
+        code = run_cli(
+            "build", "--symbol", sym, "--lambda-re", "0.6", "--lambda-im", "0.8",
+            "--sizes", "2", "--format", "csv", "--out", out,
+        )
         assert code == 2
         assert not out.exists()
         assert "column 'im', row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("apply", "--method", "fast"),
+            ("apply", "--method", "naive"),
+            ("build", "--sizes", "2", "--lambda-im", "0.8"),
+        ],
+        ids=["apply-fast", "apply-naive", "build"],
+    )
+    def test_overflow_prints_only_the_error(self, args, tmp_path):
+        # a fresh process, because pytest would capture numpy's RuntimeWarnings
+        sym = tmp_path / "big.json"
+        write_symbol_file(FourierSymbol({0: complex(1.7e308, 1.7e308), 1: 1.0}), sym)
+        vec = tmp_path / "x.csv"
+        vec.write_text("k,re,im\n0,1e308,1e308\n1,1e308,1e308\n2,1e308,1e308\n")
+        if args[0] == "apply":
+            args += ("--vector", str(vec))
+        env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "ltoeplitz", *args, "--symbol", str(sym), "--lambda-re", "0.6"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
     def test_json_writer_refuses_nan(self):
         from ltoeplitz.output import dumps_json

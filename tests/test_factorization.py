@@ -15,6 +15,7 @@ from ltoeplitz import (
     build_toeplitz,
     build_wco_kernel_grid,
     build_weighted_comp,
+    entry,
     kernel_grid_l2_norm,
     kernel_hs_norm,
     quadrature_apply,
@@ -102,6 +103,66 @@ class TestBuildWeightedComp:
             )
             combined = build_weighted_comp(WeightedCompositionSpec(one, lam * mu), 8).entries
             assert np.max(np.abs(product - combined)) < 1e-12
+
+
+# Re(lambda) < 0, so a product 0j * lambda^m off the stored bands would give -0.0.
+LAM_LEFT = -0.6 + 0.3j
+# bands 9 and -8 lie outside every tested N
+PHI = FourierSymbol(
+    {-8: 1.0, -3: 0.5 - 1j, -1: 2.0, 0: 1.5j, 1: -0.7, 2: 0.25 + 0.5j, 5: 1j, 9: -2.0}
+)
+
+
+def _a(d):
+    return PHI.coefficient(d)
+
+
+BUILDER_CASES = {
+    "truncate": (
+        lambda n: truncate(LambdaToeplitzSpec(LAM_LEFT, PHI), n),
+        lambda i, j: entry(LambdaToeplitzSpec(LAM_LEFT, PHI), i, j),
+    ),
+    "toeplitz-twist_plus": (
+        lambda n: build_toeplitz(PHI.twist_plus(LAM_LEFT), n),
+        lambda i, j: LAM_LEFT.conjugate() ** (i - j) * _a(i - j) if i >= j else _a(i - j),
+    ),
+    "toeplitz-conjugate": (
+        lambda n: build_toeplitz(PHI.conjugate(), n),
+        lambda i, j: _a(j - i).conjugate(),
+    ),
+    "toeplitz-conjugate_flip": (
+        lambda n: build_toeplitz(PHI.coanalytic_part().conjugate_flip(), n),
+        lambda i, j: _a(j - i).conjugate() if i > j else 0j,
+    ),
+    "wco-analytic": (
+        lambda n: build_weighted_comp(WeightedCompositionSpec(PHI.analytic_part(), LAM_LEFT), n),
+        lambda i, j: LAM_LEFT**j * _a(i - j) if i >= j else 0j,
+    ),
+    "wco-flipped": (
+        lambda n: build_weighted_comp(
+            WeightedCompositionSpec(PHI.coanalytic_part().conjugate_flip(), LAM_LEFT.conjugate()), n
+        ),
+        lambda i, j: LAM_LEFT.conjugate() ** j * _a(j - i).conjugate() if i > j else 0j,
+    ),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+def test_builder_matches_scalar_closed_form(case, size):
+    """Every builder against a Python loop of coefficient() * power.
+
+    The verify_* checks compare outputs of one band builder with each other,
+    so this is what ties that builder to the closed forms.
+    """
+    build, closed_form = BUILDER_CASES[case]
+    got = build(size).entries
+    expected = np.array(
+        [[closed_form(i, j) for j in range(size)] for i in range(size)], dtype=complex
+    )
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    off_band = expected == 0
+    assert not np.any(np.signbit(got.real[off_band]) | np.signbit(got.imag[off_band]))
 
 
 class TestUnitaryFactorization:

@@ -11,8 +11,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 import ltoeplitz
-from ltoeplitz import FourierSymbol
-from ltoeplitz.factorization import _toeplitz
+from ltoeplitz import FourierSymbol, build_toeplitz
 from ltoeplitz.operator import _next_fast_len
 
 
@@ -35,7 +34,11 @@ def test_toeplitz_gather_matches_scipy_exactly(n):
     rng = np.random.default_rng(n)
     col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.array_equal(_toeplitz(col, row), toeplitz(col, row))
+    # scipy takes the diagonal from col[0] and ignores row[0]
+    symbol = FourierSymbol(
+        {**{-k: row[k] for k in range(1, n)}, **{k: col[k] for k in range(n)}}
+    )
+    assert np.array_equal(build_toeplitz(symbol, n).entries, toeplitz(col, row))
 
 
 def _direct_sum(symbol: FourierSymbol, grid_size: int) -> np.ndarray:

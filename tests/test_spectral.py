@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ltoeplitz import (
     FourierSymbol,
@@ -20,7 +21,7 @@ from ltoeplitz import (
 )
 from ltoeplitz.spectral import SpectralDecompositionError
 
-from conftest import random_spec
+from conftest import disc_lambdas, random_spec, symbols
 
 RNG = np.random.default_rng(777)
 
@@ -101,6 +102,16 @@ class TestHsNormClosedForm:
     def test_rejects_circle_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             hs_norm_closed_form(_spec(1.0, {0: 1.0}))
+
+
+@given(symbols(), disc_lambdas.filter(lambda z: abs(z) < 1.0))
+@settings(max_examples=40, deadline=None)
+def test_frobenius_norm_grows_to_the_closed_form_property(phi, lam):
+    spec = LambdaToeplitzSpec(lam, phi)
+    norms = [float(np.linalg.norm(truncate(spec, n).entries)) for n in range(1, 25)]
+    # each truncation holds the previous one, so only rounding can lower the norm
+    assert all(b >= a * (1.0 - 1e-14) for a, b in zip(norms, norms[1:]))
+    assert norms[-1] <= hs_norm_closed_form(spec) * (1.0 + 1e-12)
 
 
 class TestNormConvergence:

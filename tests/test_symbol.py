@@ -153,17 +153,6 @@ class TestTwists:
             phi.twist_plus(lam).l2_norm(), phi.l2_norm(), rel_tol=1e-12, abs_tol=1e-15
         )
 
-    def test_twist_minus_coefficientwise(self):
-        phi = FourierSymbol({2: 1.0, -1: 1.0, -3: 2j})
-        twisted = phi.twist_minus(1j)
-        assert twisted.coefficient(2) == 1.0
-        assert abs(twisted.coefficient(-1) - (-1j) ** -1) < 1e-15
-        assert abs(twisted.coefficient(-3) - 2j * (-1j) ** -3) < 1e-15
-
-    def test_twist_minus_rejects_interior_lambda(self):
-        with pytest.raises(ValueError, match="lambda"):
-            FourierSymbol({-1: 1.0}).twist_minus(0.5)
-
 
 class TestDilate:
     def test_single_mode(self):
