@@ -35,6 +35,7 @@ from .operator import (
     dense_size_limit,
     entry,
     powers,
+    prepare,
     recurrence_residual,
     solve_recurrence,
     truncate,
@@ -50,6 +51,7 @@ from .spectral import (
     operator_norm,
     sawtooth_growth_study,
     singular_values,
+    top_singular_value,
     trace_norm_bound_check,
     wco_spectrum_check,
 )

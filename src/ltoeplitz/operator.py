@@ -27,9 +27,11 @@ __all__ = [
     "TruncatedOperator",
     "powers",
     "entry",
+    "resolve_budget_mb",
     "dense_size_limit",
     "truncate",
     "apply_naive",
+    "prepare",
     "apply_fast",
     "recurrence_residual",
     "solve_recurrence",
@@ -92,8 +94,10 @@ def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
     return (spec.lam ** min(n, m)) * spec.symbol.coefficient(n - m)
 
 
-def _env_budget_mb() -> float:
-    """The budget from ``LT_MEM_BUDGET_MB``, or the default when it is unset."""
+def resolve_budget_mb(budget_mb: float | None = None) -> float:
+    """The given budget, else ``LT_MEM_BUDGET_MB``, else the default."""
+    if budget_mb is not None:
+        return budget_mb
     raw = os.environ.get(MEM_BUDGET_ENV)
     if raw is None:
         return DEFAULT_MEM_BUDGET_MB
@@ -108,8 +112,7 @@ def _env_budget_mb() -> float:
 
 def dense_size_limit(budget_mb: float | None = None) -> int:
     """Largest N whose dense N x N complex matrix fits the memory budget."""
-    if budget_mb is None:
-        budget_mb = _env_budget_mb()
+    budget_mb = resolve_budget_mb(budget_mb)
     if budget_mb <= 0:
         return 0
     return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
@@ -148,7 +151,7 @@ def truncate(
         raise ValueError("truncation size must be >= 1")
     limit = dense_size_limit(budget_mb)
     if n > limit:
-        budget = budget_mb if budget_mb is not None else _env_budget_mb()
+        budget = resolve_budget_mb(budget_mb)
         needed = n * n * _BYTES_PER_ENTRY / 2**20
         raise MemoryBudgetExceeded(
             f"N={n} needs {needed:.1f} MB dense storage; "
@@ -193,47 +196,95 @@ def _next_fast_len(target: int) -> int:
     return numbers[bisect.bisect_left(numbers, target)]
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    full = a.size + b.size - 1
-    size = _next_fast_len(full)
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:full]
+def _convolve(hat: np.ndarray, signal: np.ndarray, length: int) -> np.ndarray:
+    """Cyclic convolution of length ``length`` with the signal whose FFT is hat.
+
+    The product is taken in place with hat on the left: complex products
+    round differently with the operands swapped.
+    """
+    spectrum = np.fft.fft(signal, length)
+    return np.fft.ifft(np.multiply(hat, spectrum, out=spectrum))
+
+
+def _prepared_matvec(lam: complex, index: np.ndarray, value: np.ndarray, n: int):
+    """Matvec against the N x N truncation with bands a_index = value, |index| < N.
+
+    The lower-triangular part convolves the analytic coefficients with the
+    lambda-scaled input; the strict upper part correlates the coanalytic
+    ones with the input and lambda-scales the output. The FFTs of both
+    coefficient halves are taken here, once.
+    """
+    pows = powers(lam, n)
+    plus, minus = index >= 0, index < 0
+    plus_hat = minus_hat = None
+    if plus.any():
+        degree = int(index[plus].max())
+        weights = np.zeros(degree + 1, dtype=complex)
+        weights[index[plus]] = value[plus]
+        plus_len = _next_fast_len(degree + n)
+        plus_hat = np.fft.fft(weights, plus_len)
+    if minus.any():
+        depth = -int(index[minus].min())
+        # reversed coanalytic coefficients: slot depth + d holds a_d (d < 0)
+        reflected = np.zeros(depth, dtype=complex)
+        reflected[depth + index[minus]] = value[minus]
+        minus_len = _next_fast_len(depth + n - 1)
+        minus_hat = np.fft.fft(reflected, minus_len)
+
+    def matvec(x) -> np.ndarray:
+        vec = np.asarray(x, dtype=complex)
+        if vec.shape != (n,):
+            raise ValueError(f"vector shape {vec.shape} does not match truncation size {n}")
+        out = np.zeros(n, dtype=complex)
+        if plus_hat is not None:
+            out += _convolve(plus_hat, pows * vec, plus_len)[:n]
+        if minus_hat is not None:
+            shifted = np.zeros(n, dtype=complex)
+            shifted[: n - 1] = _convolve(minus_hat, vec, minus_len)[depth : depth + n - 1]
+            out += pows * shifted
+        return out
+
+    return matvec
+
+
+def prepare(spec: LambdaToeplitzSpec, size: int):
+    """``(matvec, rmatvec)`` against the N x N truncation and its adjoint.
+
+    The lambda powers and the FFTs of both coefficient halves are taken once,
+    so each product costs four FFTs of length about N + min(K, N) for symbol
+    support width K. Only the bands |d| < N reach the truncation. The adjoint
+    of the operator for (lambda, phi) is the operator for (conj lambda, phi*),
+    where phi* = ``symbol.conjugate()`` has coefficients conj(a_{-d}); its
+    FFTs are taken at the first ``rmatvec`` call, so ``apply_fast`` does not
+    pay for them.
+    """
+    n = int(size)
+    if n < 1:
+        raise ValueError("truncation size must be >= 1")
+    bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
+    index = np.array([d for d, _ in bands], dtype=np.intp)
+    value = np.array([a for _, a in bands], dtype=complex)
+    adjoint = []
+
+    def rmatvec(y) -> np.ndarray:
+        if not adjoint:
+            adjoint.append(_prepared_matvec(spec.lam.conjugate(), -index, value.conj(), n))
+        return adjoint[0](y)
+
+    return _prepared_matvec(spec.lam, index, value, n), rmatvec
 
 
 def apply_fast(spec: LambdaToeplitzSpec, x) -> np.ndarray:
     """Matvec against the N x N truncation without materializing it.
 
-    Splits the operator into its lower-triangular weighted-composition part
-    (convolve the analytic coefficients with the lambda-scaled input) and the
-    adjoint of the coanalytic one (correlate, then lambda-scale the output).
-    Cost O((N + K) log(N + K)) for symbol support width K.
+    One call to ``prepare``; cost O((N + K) log(N + K)) for symbol support
+    width K.
     """
     vec = np.asarray(x, dtype=complex)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError("apply_fast needs a nonempty 1-D vector")
-    n = vec.size
-    pows = powers(spec.lam, n)
-    out = np.zeros(n, dtype=complex)
-
-    plus = spec.symbol.analytic_part()
-    if not plus.is_zero:
-        degree = max(plus.support)
-        weights = np.zeros(degree + 1, dtype=complex)
-        for k, v in plus.items():
-            weights[k] = v
-        out += _fft_convolve(weights, pows * vec)[:n]
-
-    minus = spec.symbol.coanalytic_part()
-    if not minus.is_zero:
-        depth = -min(minus.support)
-        # reversed coanalytic coefficients: slot depth + k holds a_k (k < 0)
-        reflected = np.zeros(depth, dtype=complex)
-        for k, v in minus.items():
-            reflected[depth + k] = v
-        shifted = np.zeros(n, dtype=complex)
-        shifted[: n - 1] = _fft_convolve(reflected, vec)[depth:]
-        out += pows * shifted
-
-    return out
+    matvec, _ = prepare(spec, vec.size)
+    return matvec(vec)
 
 
 def recurrence_residual(op: TruncatedOperator, lam: complex) -> float:

@@ -440,6 +440,21 @@ class TestSawtoothDemo:
         assert code == 1
         assert json.loads(out.read_text())["pass"] is False
 
+    def test_runs_past_the_dense_memory_limit(self, tmp_path, monkeypatch):
+        # 4 MB holds a dense N=512 matrix, or 128 steps of the N=1024 basis
+        plain, budgeted = tmp_path / "plain.json", tmp_path / "budgeted.json"
+        assert run_cli("sawtooth-demo", "--sizes", "64,1024", "--out", plain) == 1
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
+        assert run_cli("sawtooth-demo", "--sizes", "64,1024", "--out", budgeted) == 1
+        growth = json.loads(plain.read_text())["growth_factor"]
+        assert abs(json.loads(budgeted.read_text())["growth_factor"] - growth) <= 1e-12
+
+    def test_budget_too_small_for_the_basis(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
+        code = run_cli("sawtooth-demo", "--sizes", "64,1024", "--out", tmp_path / "saw.json")
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_symbol_out(self, tmp_path):
         out = tmp_path / "saw.json"
         sym_out = tmp_path / "ramp.json"

@@ -11,7 +11,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 import ltoeplitz
-from ltoeplitz import FourierSymbol, build_toeplitz
+from ltoeplitz import FourierSymbol, build_toeplitz, write_symbol_file
 from ltoeplitz.operator import _next_fast_len
 
 
@@ -22,6 +22,25 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_norm_commands_leave_scipy_out(tmp_path):
+    symbol_path = tmp_path / "two_cos.json"
+    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, -1: 1.0}), symbol_path)
+    runs = [
+        ["norms", "--symbol", str(symbol_path), "--sizes", "8,32", "--lambda-re", "1",
+         "--out", str(tmp_path / "norms.json")],
+        ["sawtooth-demo", "--sizes", "8,256", "--out", str(tmp_path / "saw.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+    code = (
+        "import sys; from ltoeplitz.cli import main; "
+        f"print([main(argv) for argv in {runs!r}], 'scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_fast_len_matches_scipy():

@@ -14,6 +14,7 @@ from ltoeplitz import (
     apply_naive,
     entry,
     powers,
+    prepare,
     recurrence_residual,
     solve_recurrence,
     truncate,
@@ -227,6 +228,34 @@ class TestApplyFast:
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         reference = matmul_toeplitz((col, row), x)
         assert np.max(np.abs(apply_fast(spec, x) - reference)) < 1e-11
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("lam", [0.0, 0.4 - 0.3j, -1.0])
+    @pytest.mark.parametrize("size", [1, 3, 9])
+    def test_products_against_dense(self, lam, size):
+        # bands at |d| >= N must drop out: d = 9 and d = -12 reach no size here
+        spec = _spec(lam, {-12: 4.0, -2: 1.0 - 1.0j, 0: 0.5, 1: 2.0j, 9: -3.0})
+        dense = truncate(spec, size).entries
+        matvec, rmatvec = prepare(spec, size)
+        x = RNG.standard_normal(size) + 1j * RNG.standard_normal(size)
+        # every entry of either product is at most sum |a_d| * max |x|
+        tol = 1e-14 * sum(abs(v) for _, v in spec.symbol.items()) * np.max(np.abs(x))
+        assert np.max(np.abs(matvec(x) - dense @ x)) <= tol
+        assert np.max(np.abs(rmatvec(x) - dense.conj().T @ x)) <= tol
+
+    def test_adjoint_is_the_conjugate_symbol_operator(self):
+        spec = _spec(0.6 + 0.7j, {-3: 1.0j, 0: 2.0, 2: -1.5 + 0.5j, 40: 1.0})
+        adjoint = LambdaToeplitzSpec(spec.lam.conjugate(), spec.symbol.conjugate())
+        y = RNG.standard_normal(32) + 1j * RNG.standard_normal(32)
+        _, rmatvec = prepare(spec, 32)
+        assert np.array_equal(rmatvec(y), apply_fast(adjoint, y))
+
+    def test_rejects_wrong_length(self):
+        matvec, rmatvec = prepare(_spec(0.5, {0: 1.0}), 4)
+        for product in (matvec, rmatvec):
+            with pytest.raises(ValueError, match="truncation size 4"):
+                product(np.zeros(5))
 
 
 class TestRecurrenceResidual:

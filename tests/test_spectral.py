@@ -3,18 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltoeplitz import (
     FourierSymbol,
     LambdaToeplitzSpec,
+    MemoryBudgetExceeded,
     WeightedCompositionSpec,
     analyze,
     finite_rank_study,
     hs_norm_closed_form,
     norm_convergence_study,
     operator_norm,
+    sawtooth,
     sawtooth_growth_study,
+    top_singular_value,
     trace_norm_bound_check,
     truncate,
     wco_spectrum_check,
@@ -128,11 +132,47 @@ class TestNormConvergence:
 
     def test_constant_symbol_all_norms_one(self):
         spec = _spec(1.0, {0: 1.0})
-        assert all(v == 1.0 for _, v in norm_convergence_study(spec, (4, 16, 64)))
+        assert all(abs(v - 1.0) <= 1e-13 for _, v in norm_convergence_study(spec, (4, 16, 64)))
 
     def test_rejects_interior_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             norm_convergence_study(_spec(0.5, {0: 1.0}), (8,))
+
+
+class TestTopSingularValue:
+    def test_zero_truncation_gives_zero(self):
+        # the only band, d = 5, lies outside the 4 x 4 truncation
+        assert top_singular_value(_spec(1.0, {5: 1.0}), 4) == 0.0
+
+    def test_single_entry(self):
+        got = top_singular_value(_spec(0.5, {0: 2.0 - 1.0j, 3: 1.0}), 1)
+        assert abs(got - math.sqrt(5.0)) <= 1e-15 * math.sqrt(5.0)
+
+    def test_clustered_tridiagonal_top(self):
+        # 2 + 2cos(theta) at lambda = 1: the top two singular values differ
+        # by about 3e-5, so the Krylov space must grow to most of C^N
+        got = top_singular_value(_spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
+        assert abs(got - (2.0 + 2.0 * math.cos(math.pi / 1025))) <= 1e-10
+
+    def test_basis_is_charged_against_the_budget(self, monkeypatch):
+        spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
+        unbudgeted = top_singular_value(spec, 1024)
+        # one step of two length-1024 complex vectors needs 32 KiB
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
+        with pytest.raises(MemoryBudgetExceeded, match=r"N=1024.*k=1\b"):
+            top_singular_value(spec, 1024)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
+        assert top_singular_value(spec, 1024) == unbudgeted
+
+
+@given(symbols(max_index=8), disc_lambdas, st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_top_singular_value_matches_dense_svd(phi, lam, n):
+    spec = LambdaToeplitzSpec(lam, phi)
+    dense = float(np.linalg.svd(truncate(spec, n).entries, compute_uv=False)[0])
+    # subnormal entries lose their digits in any product, dense or FFT
+    assume(dense == 0.0 or dense > 1e-150)
+    assert abs(top_singular_value(spec, n) - dense) <= 1e-12 * dense
 
 
 class TestCompactnessSurrogates:
@@ -181,7 +221,7 @@ class TestSawtoothGrowth:
 
         (n, got), = sawtooth_growth_study((16,))
         direct = operator_norm(truncate(LambdaToeplitzSpec(-1.0, sawtooth(16)), 16))
-        assert got == direct
+        assert abs(got - direct) <= 1e-13 * direct
 
 
 class TestTraceNormBound:
