@@ -8,7 +8,10 @@ operator attached to (lambda, phi):
   truncations increase to that value.
 * |lambda| < 1: singular values decay as sigma_{2m+1} <= |lambda|^m * sigma_1
   (block argument: the tail block starting at row/column m is lambda^m times
-  a smaller truncation), which makes the trace norm uniformly bounded.
+  a smaller truncation), which makes the trace norm uniformly bounded. The
+  same block fact bounds the SVD work of ``analyze``: once the entries
+  certify that the tail block is below eps * sigma_1, only a 2M x 2M core
+  is decomposed, with M about log(eps)/log|lambda| whatever N is.
 * |lambda| = 1: truncation operator norms converge upward to the sup norm of
   the twisted symbol; for the bandlimited ramp with lambda = -1 they grow
   like log N instead of converging. The ramp's twisted symbol has two
@@ -21,8 +24,10 @@ operator attached to (lambda, phi):
   ``operator.prepare``, stopped once the residual of the top Ritz pair is at
   most 1e-13 * sigma_1. Its Krylov basis, not an N x N matrix, is charged
   against the memory budget, so these studies run past the dense limit.
-  The dense SVD stays in ``analyze`` and ``finite_rank_study``, which need
-  every singular value, and in ``operator_norm``, the tests' oracle.
+  ``analyze`` and ``finite_rank_study`` need every singular value and take
+  an SVD: of the certified core for |lambda| < 1, of the whole matrix
+  otherwise. ``singular_values`` and ``operator_norm``, the tests' oracles,
+  always take the plain dense SVD.
 * rank: lambda = 0 forces rank <= 2; one-sided symbols give exact
   corank-n_0 triangular structure; generic two-sided symbols with
   0 < |lambda| < 1 have numerical rank growing without bound.
@@ -76,6 +81,8 @@ _KRYLOV_SEED = 11
 # at step ceil(growth * k): tops that nearly cluster need hundreds of steps,
 # and a decomposition at every one would cost more than the steps themselves.
 _CHECK_GROWTH = 1.15
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class SpectralDecompositionError(RuntimeError):
@@ -118,13 +125,23 @@ class SpectralReport:
         return [(k + 1, float(s)) for k, s in enumerate(self.singular_values)]
 
 
-def singular_values(op: TruncatedOperator) -> np.ndarray:
+def _require_finite(op: TruncatedOperator) -> None:
     if not np.all(np.isfinite(op.entries)):
         raise ValueError(f"truncation N={op.size} has non-finite entries")
+
+
+def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
+    """Singular values of matrix; a LAPACK failure names the truncation size."""
     try:
-        return np.linalg.svd(op.entries, compute_uv=False)
+        return np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise SpectralDecompositionError(op.size, f"SVD failed at N={op.size}: {exc}") from exc
+        raise SpectralDecompositionError(size, f"SVD failed at N={size}: {exc}") from exc
+
+
+def singular_values(op: TruncatedOperator) -> np.ndarray:
+    """Dense SVD of every entry: the plain oracle, never compressed."""
+    _require_finite(op)
+    return _svdvals(op.entries, op.size)
 
 
 def operator_norm(op: TruncatedOperator) -> float:
@@ -242,13 +259,72 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     )
 
 
+def _negligible_tail_start(entries: np.ndarray) -> int:
+    """Smallest M with ||T[M:, M:]||_F <= eps * c, c the largest column norm.
+
+    The tail's squared norm is summed shell by shell from the bottom right,
+    s_k = ||T[k, k:]||^2 + ||T[k+1:, k]||^2, one vector at a time, so no
+    N x N temporary is made. Where eps^2 c^2 would overflow or fall below
+    the normal range, underflowed squares could hide a tail, so the whole
+    matrix is kept (M = N).
+    """
+    n = entries.shape[0]
+    bound = _EPS**2 * max(np.vdot(col, col).real for col in entries.T)
+    if not _TINY <= bound < math.inf:
+        return n
+    tail = 0.0
+    for k in range(n - 1, -1, -1):
+        row, col = entries[k, k:], entries[k + 1 :, k]
+        tail += np.vdot(row, row).real + np.vdot(col, col).real
+        if tail > bound:
+            return k + 1
+    return 0
+
+
+def _compressed_singular_values(op: TruncatedOperator) -> np.ndarray:
+    """All N singular values, from a 2M x 2M core when the tail is negligible.
+
+    With T = [[A, C], [B, D]] split at M = ``_negligible_tail_start`` and
+    2M < N, D is dropped. B = Q_B R_B and C^T = Q_C R_C (thin QR), so
+    [[A, C], [B, 0]] = diag(I, Q_B) [[A, R_C^T], [R_B, 0]] diag(I, Q_C^T),
+    both outer factors with orthonormal columns or rows: its singular values
+    are the core's 2M followed by N - 2M exact zeros. Otherwise the core is
+    T itself. The core is filled in place, which keeps the peak memory below
+    that of the dense SVD.
+    """
+    t, n = op.entries, op.size
+    m = _negligible_tail_start(t)
+    if 2 * m >= n:
+        return _svdvals(t, n)
+    core = np.zeros((2 * m, 2 * m), dtype=complex)
+    core[:m, :m] = t[:m, :m]
+    core[m:, :m] = np.linalg.qr(t[m:, :m], mode="r")
+    core[:m, m:] = np.linalg.qr(t[:m, m:].T, mode="r").T
+    return np.concatenate([_svdvals(core, n), np.zeros(n - 2 * m)])
+
+
 def analyze(
     op: TruncatedOperator, lam: complex, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SpectralReport:
-    """Full SVD of a truncation, with norms, numerical rank, decay margins."""
+    """Every singular value of a truncation, with norms, numerical rank and
+    decay margins.
+
+    The SVD is certified from the entries, not from lambda. Let c be the
+    largest column norm (a lower bound on sigma_1) and M the smallest index
+    with ||T[M:, M:]||_F <= eps * c, eps the machine epsilon. For
+    |lambda| < 1 that tail is lambda^M times a smaller truncation, so M is
+    about log(eps)/log|lambda| whatever N is. When 2M < N the tail block is
+    set to zero and only a 2M x 2M core is decomposed (see
+    ``_compressed_singular_values``); singular values 2M+1..N are then 0.0.
+    By Weyl's inequality each sigma_i moves by at most the dropped block's
+    2-norm, <= eps * sigma_1, below the backward error of the SVD itself.
+    Matrices without such a tail (|lambda| = 1, N <= 2M, arbitrary entries)
+    take the dense SVD of T, bit for bit as ``singular_values``.
+    """
     if not 0.0 < rank_tol < 1.0:
         raise ValueError("rank_tol must lie in (0, 1)")
-    sing = singular_values(op)
+    _require_finite(op)
+    sing = _compressed_singular_values(op)
     top = float(sing[0])
     frob = float(np.linalg.norm(op.entries))
     trace = float(np.sum(sing))

@@ -24,14 +24,9 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
-def test_norm_commands_leave_scipy_out(tmp_path):
-    symbol_path = tmp_path / "two_cos.json"
-    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, -1: 1.0}), symbol_path)
-    runs = [
-        ["norms", "--symbol", str(symbol_path), "--sizes", "8,32", "--lambda-re", "1",
-         "--out", str(tmp_path / "norms.json")],
-        ["sawtooth-demo", "--sizes", "8,256", "--out", str(tmp_path / "saw.json")],
-    ]
+def _run_in_fresh_process(runs) -> str:
+    """Exit codes of the argv lists, run in one new process, and whether
+    scipy got loaded."""
     env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
     code = (
         "import sys; from ltoeplitz.cli import main; "
@@ -40,7 +35,30 @@ def test_norm_commands_leave_scipy_out(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+    return result.stdout.splitlines()[-1]
+
+
+def test_norm_commands_leave_scipy_out(tmp_path):
+    symbol_path = tmp_path / "two_cos.json"
+    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, -1: 1.0}), symbol_path)
+    runs = [
+        ["norms", "--symbol", str(symbol_path), "--sizes", "8,32", "--lambda-re", "1",
+         "--out", str(tmp_path / "norms.json")],
+        ["sawtooth-demo", "--sizes", "8,256", "--out", str(tmp_path / "saw.json")],
+    ]
+    assert _run_in_fresh_process(runs) == "[0, 0] False"
+
+
+def test_svd_commands_leave_scipy_out(tmp_path):
+    # at lambda = 0.5 the size 256 takes the compressed SVD, 8 the dense one
+    symbol_path = tmp_path / "two_sided.json"
+    write_symbol_file(FourierSymbol({0: 1.0, 1: 0.7, -2: 0.4j}), symbol_path)
+    common = ["--symbol", str(symbol_path), "--sizes", "8,256", "--lambda-re", "0.5"]
+    runs = [
+        ["svd", *common, "--out", str(tmp_path / "svd.json")],
+        ["rank", *common, "--out", str(tmp_path / "rank.json")],
+    ]
+    assert _run_in_fresh_process(runs) == "[0, 0] False"
 
 
 def test_fast_len_matches_scipy():

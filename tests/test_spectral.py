@@ -10,6 +10,7 @@ from ltoeplitz import (
     FourierSymbol,
     LambdaToeplitzSpec,
     MemoryBudgetExceeded,
+    TruncatedOperator,
     WeightedCompositionSpec,
     analyze,
     finite_rank_study,
@@ -23,7 +24,7 @@ from ltoeplitz import (
     truncate,
     wco_spectrum_check,
 )
-from ltoeplitz.spectral import SpectralDecompositionError
+from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
 from conftest import disc_lambdas, random_spec, symbols
 
@@ -82,6 +83,95 @@ class TestAnalyze:
     def test_decomposition_error_carries_size(self):
         err = SpectralDecompositionError(7, "no convergence")
         assert err.size == 7
+
+
+def _svd_spy(monkeypatch):
+    """Record the shape of every matrix ``np.linalg.svd`` decomposes."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+class TestCompressedAnalyze:
+    def test_zero_lambda_decomposes_a_two_by_two_core(self, monkeypatch):
+        # lambda = 0 leaves only row 0 and column 0 nonzero
+        op = truncate(_spec(0.0, {0: 2.0, 1: 1.0, -1: 1.0j, 3: 0.5}), 64)
+        dense = np.linalg.svd(op.entries, compute_uv=False)
+        shapes = _svd_spy(monkeypatch)
+        sing = analyze(op, 0.0).singular_values
+        assert shapes == [(2, 2)]
+        assert sing.shape == (64,)
+        assert np.all(sing[2:] == 0.0)
+        assert np.max(np.abs(sing - dense)) <= 1e-15 * dense[0]
+
+    def test_interior_lambda_decomposes_a_smaller_core(self, monkeypatch):
+        spec = _spec(0.5, {0: 1.0, 1: 0.7, -2: 0.4j})
+        op = truncate(spec, 256)
+        shapes = _svd_spy(monkeypatch)
+        sing = analyze(op, 0.5).singular_values
+        (side, other), = shapes
+        assert side == other < 256
+        assert np.all(sing[side:] == 0.0)
+
+    def test_unit_lambda_is_the_dense_svd(self):
+        op = truncate(_spec(cmath.exp(0.7j), {0: 1.0, 1: 0.7, -2: 0.4j}), 96)
+        dense = np.linalg.svd(op.entries, compute_uv=False)
+        assert np.array_equal(analyze(op, cmath.exp(0.7j)).singular_values, dense)
+
+    def test_dense_random_matrix_is_the_dense_svd(self):
+        entries = RNG.standard_normal((80, 80)) + 1j * RNG.standard_normal((80, 80))
+        op = TruncatedOperator(80, entries)
+        dense = np.linalg.svd(entries, compute_uv=False)
+        assert np.array_equal(analyze(op, 0.5).singular_values, dense)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_squares_out_of_range_keep_the_dense_svd(self, scale):
+        # squared entries underflow or overflow, so no tail can be certified
+        op = truncate(_spec(0.5, {0: scale, 1: 0.3 * scale}), 128)
+        dense = np.linalg.svd(op.entries, compute_uv=False)
+        with np.errstate(over="ignore"):  # the Frobenius norm overflows at 1e160
+            report = analyze(op, 0.5)
+        assert np.array_equal(report.singular_values, dense)
+
+    def test_nan_in_a_negligible_tail_is_rejected(self):
+        op = truncate(_spec(0.5, {0: 1.0, 1: 0.7}), 256)
+        op.entries[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="N=256"):
+            analyze(op, 0.5)
+
+    def test_core_failure_carries_the_truncation_size(self, monkeypatch):
+        def fail(matrix, *args, **kwargs):
+            raise np.linalg.LinAlgError(f"no convergence at side {len(matrix)}")
+
+        op = truncate(_spec(0.5, {0: 1.0, 1: 0.7}), 256)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(SpectralDecompositionError, match="N=256") as info:
+            analyze(op, 0.5)
+        assert info.value.size == 256
+
+
+@given(
+    symbols(),
+    st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
+    st.integers(1, 300),
+)
+@settings(max_examples=40, deadline=None)
+def test_analyze_matches_the_dense_svd(phi, lam, n):
+    op = truncate(LambdaToeplitzSpec(lam, phi), n)
+    dense = np.linalg.svd(op.entries, compute_uv=False)
+    report = analyze(op, lam)
+    top = float(dense[0])
+    assert report.singular_values.shape == dense.shape
+    assert np.max(np.abs(report.singular_values - dense)) <= 1e-13 * top
+    threshold = DEFAULT_RANK_TOL * top
+    if not np.any(np.abs(dense - threshold) <= 1e-12 * top):
+        assert report.numerical_rank == int(np.count_nonzero(dense > threshold))
 
 
 class TestHsNormClosedForm:
