@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import LambdaToeplitzSpec, TruncatedOperator, _banded, powers, truncate
+from .operator import (
+    LambdaToeplitzSpec,
+    TruncatedOperator,
+    _banded,
+    _bands,
+    _checked_size,
+    powers,
+)
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
 
 __all__ = [
@@ -132,6 +139,33 @@ def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOpera
 
 
 # -- factorization checks ------------------------------------------------------
+#
+# Each identity is a law between matrices whose entries are base^min(i, j) *
+# a_{i-j} on stored bands and exact zeros elsewhere, so both sides are
+# streamed one band at a time (``operator._bands``) and no N x N matrix is
+# formed. Each entry keeps the arithmetic of the dense product it stands for,
+# and the residual is the same float as the dense max.
+
+
+def _band_residual(lhs, rhs) -> float:
+    """max |L - R| over two N x N matrices given as ``(d, band)`` streams in ascending d.
+
+    A band that only one side stores is compared with zeros, and every entry
+    off both is zero on both sides, so a NaN anywhere gives NaN, as a dense
+    max would, and two empty streams give 0.0.
+    """
+    peaks = [0.0]
+    left, right = next(lhs, None), next(rhs, None)
+    while left is not None or right is not None:
+        if right is None or (left is not None and left[0] < right[0]):
+            diff, left = left[1], next(lhs, None)
+        elif left is None or right[0] < left[0]:
+            diff, right = right[1], next(rhs, None)
+        else:
+            diff = left[1] - right[1]
+            left, right = next(lhs, None), next(rhs, None)
+        peaks.append(np.max(np.abs(diff)))
+    return float(np.max(peaks))
 
 
 def verify_unitary_factorization(
@@ -144,13 +178,15 @@ def verify_unitary_factorization(
     """
     if not is_unimodular(spec.lam):
         raise ValueError("unitary factorization requires |lambda| = 1")
-    n = int(size)
-    lhs = truncate(spec, n).entries
-    rhs = build_toeplitz(spec.symbol.twist_plus(spec.lam), n).entries
-    # in place, powers on the left: swapped complex products round differently
-    np.multiply(powers(spec.lam, n)[:, np.newaxis], rhs, out=rhs)
-    lhs -= rhs
-    residual = float(np.max(np.abs(lhs)))
+    n = _checked_size(size)
+    pows = powers(spec.lam, n)
+    # row i scaled by lambda^i, powers on the left: swapped complex products
+    # round differently
+    rhs = (
+        (d, pows[max(d, 0) :][: band.size] * band)
+        for d, band in _bands(spec.symbol.twist_plus(spec.lam), n, 1.0)
+    )
+    residual = _band_residual(_bands(spec.symbol, n, spec.lam), rhs)
     return VerificationResult("unitary", n, residual, tol, residual <= tol)
 
 
@@ -161,20 +197,45 @@ def verify_wco_sum(
 
     The first summand fills the lower triangle, the adjoint of the second the
     strict upper triangle; the identity is exact entrywise for every lambda in
-    the closed disc, with no truncation leakage.
+    the closed disc, with no truncation leakage. The upper triangle is
+    compared transposed, where both sides run in ascending band order: the
+    transpose of the truncation for (lambda, phi) is the truncation for
+    (lambda, phi(1/z)), and that of W^* is conj(W).
     """
-    n = int(size)
-    lhs = truncate(spec, n).entries
-    lower = build_weighted_comp(
-        WeightedCompositionSpec(spec.symbol.analytic_part(), spec.lam), n
-    ).entries
-    flipped = spec.symbol.coanalytic_part().conjugate_flip()
-    upper = build_weighted_comp(
-        WeightedCompositionSpec(flipped, spec.lam.conjugate()), n
-    ).entries
-    lower += upper.conj().T
-    residual = float(np.max(np.abs(lhs - lower)))
+    n = _checked_size(size)
+    lam = spec.lam
+    plus, minus = spec.symbol.analytic_part(), spec.symbol.coanalytic_part()
+    # Below the diagonal the truncation's bands are W(phi_plus, lambda)'s by
+    # definition, the same products on both sides: only a band that is not
+    # finite makes them differ, giving NaN as the dense difference did.
+    lower = _band_residual(_bands(plus, n, lam), _bands(plus, n, lam))
+    upper = _band_residual(
+        _bands(FourierSymbol({-d: a for d, a in minus.items()}), n, lam),
+        ((k, band.conj()) for k, band in _bands(minus.conjugate_flip(), n, lam.conjugate())),
+    )
+    residual = float(np.maximum(lower, upper))
     return VerificationResult("wco-sum", n, residual, tol, residual <= tol)
+
+
+def _tilde_symbol(spec: LambdaToeplitzSpec, size: int, exponent_sign: int, variant: str):
+    """phi with a_k scaled by lambda^(exponent_sign * k) for -N < k < 0.
+
+    Bands k <= -N miss the truncation, so their powers are never taken.
+    """
+    lam, coeffs = spec.lam, {}
+    for k, v in spec.symbol.items():
+        if k <= -size:
+            continue
+        if k < 0:
+            try:
+                v = (lam ** (exponent_sign * k)) * v
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"toeplitz-comp {variant}: lambda**{exponent_sign * k} overflows "
+                    f"for coefficient index {k} at lambda={lam!r}"
+                ) from exc
+        coeffs[k] = v
+    return FourierSymbol(coeffs)
 
 
 def verify_toeplitz_comp_factorization(
@@ -186,23 +247,24 @@ def verify_toeplitz_comp_factorization(
     coefficients by lambda^{|n|}, the "corrected" variant by lambda^{-|n|}
     (forced by matching entries above the diagonal). Callers should treat the
     as-stated result as a report, not a gate; the two variants agree whenever
-    the symbol is analytic.
+    the symbol is analytic. A lambda^{-|n|} beyond the float range raises
+    ``ValueError`` naming n and lambda.
     """
     lam = spec.lam
     if lam.imag != 0.0 or not 0.0 < lam.real < 1.0:
         raise ValueError("toeplitz-comp factorization needs real lambda in (0, 1)")
-    n = int(size)
-    lhs = truncate(spec, n).entries
-    comp_diag = powers(lam, n)[np.newaxis, :]
+    n = _checked_size(size)
+    pows = powers(lam, n)
 
     results = []
     for variant, exponent_sign in (("as-stated", -1), ("corrected", +1)):
-        tilde = {
-            k: (lam ** (exponent_sign * k)) * v if k < 0 else v
-            for k, v in spec.symbol.items()
-        }
-        rhs = build_toeplitz(FourierSymbol(tilde), n).entries * comp_diag
-        residual = float(np.max(np.abs(lhs - rhs)))
+        tilde = _tilde_symbol(spec, n, exponent_sign, variant)
+        # column j scaled by lambda^j, on the right
+        rhs = (
+            (d, band * pows[max(-d, 0) :][: band.size])
+            for d, band in _bands(tilde, n, 1.0)
+        )
+        residual = _band_residual(_bands(spec.symbol, n, lam), rhs)
         results.append(
             VerificationResult("toeplitz-comp", n, residual, tol, residual <= tol, variant)
         )

@@ -118,6 +118,29 @@ def dense_size_limit(budget_mb: float | None = None) -> int:
     return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
 
 
+def _checked_size(size: int) -> int:
+    n = int(size)
+    if n < 1:
+        raise ValueError("truncation size must be >= 1")
+    return n
+
+
+def _bands(symbol: FourierSymbol, size: int, base: complex):
+    """``(d, a_d * base^k for k < N - |d|)`` for each stored band |d| < N, ascending d.
+
+    The bands of the N x N matrix with entry (i, j) = base^min(i, j) * a_{i-j}:
+    band d holds the entries i - j = d, starting at (max(d, 0), max(-d, 0)),
+    and min(i, j) = k at its k-th entry. Every entry off the stored bands is
+    an exact zero, so a law between two such matrices can be checked band by
+    band in O(N) memory.
+    """
+    n = int(size)
+    pows = powers(base, n)
+    for d, a in symbol.items():
+        if -n < d < n:
+            yield d, a * pows[: n - abs(d)]
+
+
 def _banded(symbol: FourierSymbol, size: int, base: complex) -> np.ndarray:
     """N x N matrix with entry (i, j) = base^min(i, j) * a_{i-j}.
 
@@ -127,18 +150,11 @@ def _banded(symbol: FourierSymbol, size: int, base: complex) -> np.ndarray:
     0j (a product 0j * p would turn into -0.0 wherever Re(p) < 0).
     """
     n = int(size)
-    pows = powers(base, n)
     out = np.zeros((n, n), dtype=complex)
-    # One diagonal band per stored coefficient: offset d carries a_d * base^min.
-    for d, a in symbol.items():
-        if d >= n or d <= -n:
-            continue
-        if d >= 0:
-            rows = np.arange(d, n)
-            out[rows, rows - d] = a * pows[: n - d]
-        else:
-            cols = np.arange(-d, n)
-            out[cols + d, cols] = a * pows[: n + d]
+    flat = out.reshape(-1)
+    # band d starts at flat index d*N (d >= 0) or -d (d < 0), stride N + 1
+    for d, band in _bands(symbol, n, base):
+        flat[d * n if d >= 0 else -d :: n + 1][: band.size] = band
     return out
 
 
@@ -146,9 +162,7 @@ def truncate(
     spec: LambdaToeplitzSpec, size: int, budget_mb: float | None = None
 ) -> TruncatedOperator:
     """Dense N x N truncation; the leading principal block of every larger one."""
-    n = int(size)
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
+    n = _checked_size(size)
     limit = dense_size_limit(budget_mb)
     if n > limit:
         budget = resolve_budget_mb(budget_mb)
@@ -258,9 +272,7 @@ def prepare(spec: LambdaToeplitzSpec, size: int):
     FFTs are taken at the first ``rmatvec`` call, so ``apply_fast`` does not
     pay for them.
     """
-    n = int(size)
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
+    n = _checked_size(size)
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
     index = np.array([d for d, _ in bands], dtype=np.intp)
     value = np.array([a for _, a in bands], dtype=complex)

@@ -41,11 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import VerificationResult, WeightedCompositionSpec, build_weighted_comp
+from .factorization import VerificationResult, WeightedCompositionSpec
 from .operator import (
     LambdaToeplitzSpec,
     MemoryBudgetExceeded,
     TruncatedOperator,
+    _bands,
+    _checked_size,
     powers,
     prepare,
     resolve_budget_mb,
@@ -83,6 +85,9 @@ _KRYLOV_SEED = 11
 _CHECK_GROWTH = 1.15
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
+_SQRT_MAX = math.sqrt(float(np.finfo(float).max))
+_MAX_EXP = int(np.finfo(float).maxexp) - 1  # largest power of two below the float max
 
 
 class SpectralDecompositionError(RuntimeError):
@@ -303,6 +308,23 @@ def _compressed_singular_values(op: TruncatedOperator) -> np.ndarray:
     return np.concatenate([_svdvals(core, n), np.zeros(n - 2 * m)])
 
 
+def _frobenius_norm(entries: np.ndarray, top: float) -> float:
+    """``np.linalg.norm(entries)``, scaled by a power of two where its squares
+    could leave the normal range.
+
+    With sigma_1 = top, every |entry| is at most top and at least one is at
+    least top / N, and ||T||_F^2 <= N top^2. Between N sqrt(tiny) and
+    sqrt(max / N) the plain norm is therefore safe and is kept as it is;
+    outside, the entries are scaled so that the largest lands near 1, which
+    rounds nothing.
+    """
+    n = entries.shape[0]
+    if top == 0.0 or n * _SQRT_TINY <= top <= _SQRT_MAX / math.sqrt(n):
+        return float(np.linalg.norm(entries))
+    scale = math.ldexp(1.0, min(-math.frexp(top)[1], _MAX_EXP))
+    return float(np.linalg.norm(entries * scale)) / scale
+
+
 def analyze(
     op: TruncatedOperator, lam: complex, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SpectralReport:
@@ -326,7 +348,7 @@ def analyze(
     _require_finite(op)
     sing = _compressed_singular_values(op)
     top = float(sing[0])
-    frob = float(np.linalg.norm(op.entries))
+    frob = _frobenius_norm(op.entries, top)
     trace = float(np.sum(sing))
     rank = int(np.count_nonzero(sing > rank_tol * top)) if top > 0.0 else 0
     half = op.size // 2
@@ -407,8 +429,10 @@ def wco_spectrum_check(
     diagonal; for weight(0) != 0 and 0 < |multiplier| < 1 the predicted points
     must also be pairwise distinct (the tail of an infinite spectrum).
     """
-    n = int(size)
-    diag = np.diagonal(build_weighted_comp(w, n).entries)
+    n = _checked_size(size)
+    # band 0 of W, the first band of an analytic weight if stored, else zeros
+    first = next(_bands(w.weight, n, w.multiplier), (None, None))
+    diag = first[1] if first[0] == 0 else np.zeros(n, dtype=complex)
     psi0 = w.weight.coefficient(0)
     predicted = powers(w.multiplier, n) * psi0
     residual = float(np.max(np.abs(diag - predicted)))

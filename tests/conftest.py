@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -54,3 +55,17 @@ def random_spec(rng, radius=1.0, max_index=8, analytic=False):
     return LambdaToeplitzSpec(
         random_disc_lambda(rng, radius), random_symbol(rng, max_index, analytic)
     )
+
+
+def peak_traced_mb(func, *args, **kwargs):
+    """``(func(*args, **kwargs), peak MB that tracemalloc saw during the call)``.
+
+    numpy reports its array buffers to tracemalloc, so the peak covers them.
+    """
+    tracemalloc.start()
+    try:
+        result = func(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20

@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ltoeplitz
-from ltoeplitz import FourierSymbol, write_symbol_file
+from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, truncate, write_symbol_file
 from ltoeplitz.cli import main
 from ltoeplitz.output import read_vector_csv, vector_csv_text
+
+from conftest import peak_traced_mb
 
 
 @pytest.fixture
@@ -94,6 +97,44 @@ class TestExitStatusContract:
         assert "budget" in capsys.readouterr().err
 
 
+class TestBandwiseMemory:
+    """verify and spectrum compare bands in O(N) memory, past the dense limit."""
+
+    @pytest.fixture
+    def budget_of_one_mb(self, monkeypatch):
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        assert ltoeplitz.dense_size_limit() == 256
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--identity", "unitary", "--lambda-im", "1"),
+            ("verify", "--identity", "wco-sum", "--lambda-re", "0.8"),
+            ("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.8"),
+            # 0.8^m underflows to 0 before m = 4096, and repeated points fail
+            ("spectrum", "--lambda-re", "0.99"),
+        ],
+    )
+    def test_checks_pass_far_past_the_dense_limit(self, tmp_path, budget_of_one_mb, args):
+        # a dense 4096 x 4096 complex matrix would take 256 MB
+        analytic = args[0] == "spectrum" or "toeplitz-comp" in args
+        phi = {n: complex(1.0, 0.5 * n) for n in range(0 if analytic else -5, 6)}
+        sym = tmp_path / "sym.json"
+        write_symbol_file(FourierSymbol(phi), sym)
+        out = tmp_path / "r.json"
+        code, peak_mb = peak_traced_mb(
+            run_cli, *args, "--symbol", sym, "--sizes", "4096", "--out", out
+        )
+        assert code == 0
+        assert all(r["pass"] and r["N"] == 4096 for r in json.loads(out.read_text())
+                   if r["variant"] != "as-stated")
+        assert peak_mb < 4.0
+
+    def test_build_still_names_the_budget(self, two_cos_path, budget_of_one_mb, capsys):
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4096") == 2
+        assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
+
+
 class TestBoundaryInput:
     """Bad input fails at the boundary with exit 2 and a message naming the field."""
 
@@ -129,6 +170,20 @@ class TestBoundaryInput:
         ) == 2
         err = capsys.readouterr().err
         assert str(b_path) in err and "(0, 0)" in err and "(0, 1)" in err
+
+    def test_toeplitz_comp_power_overflow(self, tmp_path, capsys):
+        # the corrected variant scales a_{-200} by 0.01^-200 = 1e400
+        sym = tmp_path / "deep.json"
+        write_symbol_file(FourierSymbol({-200: 1.0, 0: 1.0}), sym)
+        code = run_cli(
+            "verify", "--identity", "toeplitz-comp", "--symbol", sym,
+            "--lambda-re", "0.01", "--sizes", "300",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: toeplitz-comp corrected: lambda**-200 overflows "
+            "for coefficient index -200 at lambda=(0.01+0j)\n"
+        )
 
     def test_non_numeric_memory_budget(self, two_cos_path, monkeypatch, capsys):
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "abc")
@@ -280,6 +335,25 @@ class TestSvd:
             lines = text.strip().splitlines()
             assert lines[0] == "k,sigma_k"
             assert len(lines) == 1 + n
+
+    def test_svd_of_huge_entries_has_a_finite_frobenius_norm(self, tmp_path):
+        # squares of 1e160 overflow; the norm itself, about 1.6e160, does not
+        sym = tmp_path / "huge.json"
+        write_symbol_file(FourierSymbol({0: 1e160, 1: 1e160}), sym)
+        out = tmp_path / "svd.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "svd", "--symbol", sym, "--lambda-re", "0.5", "--sizes", "8", "--out", out
+            )
+            spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1e160, 1: 1e160}))
+            direct = analyze(truncate(spec, 8), spec.lam).frobenius_norm
+        assert code == 0
+        frobenius = json.loads(out.read_text())[0]["frobenius_norm"]
+        reference = float(np.linalg.norm(truncate(spec, 8).entries * 2.0**-600)) * 2.0**600
+        assert math.isfinite(frobenius)
+        assert abs(frobenius - reference) <= 1e-15 * reference
+        assert direct == frobenius
 
 
 class TestHsNorm:

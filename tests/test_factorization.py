@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltoeplitz import (
     FourierSymbol,
@@ -18,15 +19,17 @@ from ltoeplitz import (
     entry,
     kernel_grid_l2_norm,
     kernel_hs_norm,
+    powers,
     quadrature_apply,
     truncate,
     verify_toeplitz_comp_factorization,
     verify_unitary_factorization,
     verify_wco_sum,
     wco_hs_norm_closed_form,
+    wco_spectrum_check,
 )
 
-from conftest import disc_lambdas, random_spec, random_symbol, symbols
+from conftest import disc_lambdas, random_spec, random_symbol, symbols, unimodular_lambdas
 
 RNG = np.random.default_rng(4321)
 
@@ -263,6 +266,79 @@ class TestToeplitzCompFactorization:
         spec = LambdaToeplitzSpec(lam, FourierSymbol({0: 1.0}))
         with pytest.raises(ValueError, match="real lambda"):
             verify_toeplitz_comp_factorization(spec, 4)
+
+
+# -- band-wise residuals against the dense formulas -----------------------------
+
+
+def _dense_max(lhs, rhs) -> float:
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def dense_unitary_residual(spec, n):
+    rhs = build_toeplitz(spec.symbol.twist_plus(spec.lam), n).entries
+    return _dense_max(truncate(spec, n).entries, powers(spec.lam, n)[:, np.newaxis] * rhs)
+
+
+def dense_wco_sum_residual(spec, n):
+    lower = build_weighted_comp(WeightedCompositionSpec(spec.symbol.analytic_part(), spec.lam), n)
+    flipped = spec.symbol.coanalytic_part().conjugate_flip()
+    upper = build_weighted_comp(WeightedCompositionSpec(flipped, spec.lam.conjugate()), n)
+    return _dense_max(truncate(spec, n).entries, lower.entries + upper.entries.conj().T)
+
+
+def dense_toeplitz_comp_residuals(spec, n):
+    lam, residuals = spec.lam, []
+    for exponent_sign in (-1, +1):
+        tilde = {
+            k: (lam ** (exponent_sign * k)) * v if k < 0 else v for k, v in spec.symbol.items()
+        }
+        rhs = build_toeplitz(FourierSymbol(tilde), n).entries * powers(lam, n)[np.newaxis, :]
+        residuals.append(_dense_max(truncate(spec, n).entries, rhs))
+    return residuals
+
+
+def dense_spectrum_residual(w, n):
+    diag = np.diagonal(build_weighted_comp(w, n).entries)
+    return _dense_max(diag, powers(w.multiplier, n) * w.weight.coefficient(0))
+
+
+@given(
+    phi=symbols(max_index=45, max_terms=8),
+    n=st.integers(1, 40),
+    unit=unimodular_lambdas,
+    disc=disc_lambdas,
+    real=st.floats(0.05, 0.95),
+)
+# support -45..44 is wider than N = 35, and as-stated lambda^30 * 1e-300
+# underflows to 0: band -30 is stored on the left side of toeplitz-comp only,
+# and sets that residual, since band 0 matches exactly
+@example(
+    phi=FourierSymbol({-45: 2.0, -30: 1e-300, 0: 0.5, 44: 3.0}),
+    n=35, unit=cmath.exp(0.3j), disc=0.4 - 0.7j, real=0.05,
+)
+@settings(max_examples=150, deadline=None)
+def test_band_residuals_equal_dense_residuals(phi, n, unit, disc, real):
+    """Each band-wise residual is the very float the dense N x N formula gives."""
+    assert verify_unitary_factorization(LambdaToeplitzSpec(unit, phi), n).residual == (
+        dense_unitary_residual(LambdaToeplitzSpec(unit, phi), n)
+    )
+    assert verify_wco_sum(LambdaToeplitzSpec(disc, phi), n).residual == (
+        dense_wco_sum_residual(LambdaToeplitzSpec(disc, phi), n)
+    )
+    spec = LambdaToeplitzSpec(real, phi)
+    got = [r.residual for r in verify_toeplitz_comp_factorization(spec, n)]
+    assert got == dense_toeplitz_comp_residuals(spec, n)
+    w = WeightedCompositionSpec(phi.analytic_part(), disc)
+    assert wco_spectrum_check(w, n).residual == dense_spectrum_residual(w, n)
+
+
+def test_toeplitz_comp_names_an_overflowing_power():
+    spec = LambdaToeplitzSpec(0.01, FourierSymbol({-200: 1.0, 0: 1.0}))
+    with pytest.raises(ValueError, match=r"lambda\*\*-200 overflows for coefficient index -200"):
+        verify_toeplitz_comp_factorization(spec, 300)
+    # band -200 misses the 200 x 200 truncation, so its power is never taken
+    assert verify_toeplitz_comp_factorization(spec, 200)[1].passed
 
 
 class TestKernelGrids:
