@@ -117,6 +117,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise CliInputError("--tol must be positive and finite")
     if not 0.0 < args.rank_tol < 1.0:
         raise CliInputError("--rank-tol must lie in (0, 1)")
+    if getattr(args, "grid_size", 1) < 1:
+        raise CliInputError("--grid-size must be at least 1")
     if not cmath.isfinite(args.lam):
         raise CliInputError("--lambda-re and --lambda-im must be finite")
     if abs(args.lam) > 1.0 + symbol_mod.UNIT_CIRCLE_TOL:

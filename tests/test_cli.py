@@ -197,6 +197,17 @@ class TestBoundaryInput:
         ) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "0"),
+            ("norms", "--lambda-re", "1", "--grid-size", "-3"),
+        ],
+    )
+    def test_grid_size_below_one(self, analytic_path, capsys, args):
+        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8") == 2
+        assert "--grid-size" in capsys.readouterr().err
+
     def test_apply_csv_refuses_overflow(self, tmp_path, capsys):
         # (1 + z) applied to 1e308 entries at lambda = 1 overflows to inf/nan
         sym = tmp_path / "one_plus_z.json"
@@ -354,6 +365,32 @@ class TestSvd:
         assert math.isfinite(frobenius)
         assert abs(frobenius - reference) <= 1e-15 * reference
         assert direct == frobenius
+
+    def test_sigma_match_the_closed_form_matrix(self, tmp_path):
+        # lambda = 0.8 on support -3..4: the compressed core at both sizes
+        coeffs = {d: complex(1.0 / (1 + d * d), 0.3 * d) for d in range(-3, 5)}
+        sym = tmp_path / "band.json"
+        write_symbol_file(FourierSymbol(coeffs), sym)
+        out = tmp_path / "svd.json"
+        code = run_cli(
+            "svd", "--symbol", sym, "--lambda-re", "0.8", "--sizes", "256,512", "--out", out
+        )
+        assert code == 0
+        reports = json.loads(out.read_text())
+        assert [r["N"] for r in reports] == [256, 512]
+        for report in reports:
+            n = report["N"]
+            idx = np.arange(n)
+            bands = np.zeros(2 * n - 1, dtype=complex)
+            for d, a in coeffs.items():
+                bands[d + n - 1] = a
+            closed = 0.8 ** np.minimum.outer(idx, idx) * bands[np.subtract.outer(idx, idx) + n - 1]
+            dense = np.linalg.svd(closed, compute_uv=False)
+            got = np.array(report["singular_values"])
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - dense)) <= 1e-13 * dense[0]
+            rank = int(np.count_nonzero(dense > ltoeplitz.spectral.DEFAULT_RANK_TOL * dense[0]))
+            assert report["numerical_rank"] == rank
 
 
 class TestHsNorm:

@@ -24,6 +24,7 @@ from ltoeplitz import (
     truncate,
     wco_spectrum_check,
 )
+from ltoeplitz import spectral
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
 from conftest import disc_lambdas, random_spec, symbols
@@ -98,6 +99,13 @@ def _svd_spy(monkeypatch):
     return shapes
 
 
+def _tail_start(entries):
+    """Smallest M with ||T[M:, M:]||_F <= eps * (largest column norm), densely."""
+    bound = np.finfo(float).eps * np.max(np.linalg.norm(entries, axis=0))
+    n = entries.shape[0]
+    return next(k for k in range(n + 1) if np.linalg.norm(entries[k:, k:]) <= bound)
+
+
 class TestCompressedAnalyze:
     def test_zero_lambda_decomposes_a_two_by_two_core(self, monkeypatch):
         # lambda = 0 leaves only row 0 and column 0 nonzero
@@ -110,14 +118,51 @@ class TestCompressedAnalyze:
         assert np.all(sing[2:] == 0.0)
         assert np.max(np.abs(sing - dense)) <= 1e-15 * dense[0]
 
-    def test_interior_lambda_decomposes_a_smaller_core(self, monkeypatch):
-        spec = _spec(0.5, {0: 1.0, 1: 0.7, -2: 0.4j})
-        op = truncate(spec, 256)
+    def _core_svd(self, monkeypatch, lam, coeffs, n=256):
+        """The one core shape analyze decomposes, and M; every sigma is
+        checked against the dense SVD to 1e-13 * sigma_1."""
+        op = truncate(_spec(lam, coeffs), n)
+        m = _tail_start(op.entries)
+        dense = np.linalg.svd(op.entries, compute_uv=False)
         shapes = _svd_spy(monkeypatch)
-        sing = analyze(op, 0.5).singular_values
-        (side, other), = shapes
-        assert side == other < 256
-        assert np.all(sing[side:] == 0.0)
+        sing = analyze(op, lam).singular_values
+        assert sing.shape == (n,)
+        assert np.max(np.abs(sing - dense)) <= 1e-13 * dense[0]
+        (core,) = shapes
+        assert np.all(sing[min(core) :] == 0.0)
+        return core, m
+
+    def test_interior_lambda_decomposes_a_smaller_core(self, monkeypatch):
+        # one row of B and two columns of C are not zero: bands 1 and -2
+        core, m = self._core_svd(monkeypatch, 0.5, {0: 1.0, 1: 0.7, -2: 0.4j})
+        assert core == (m + 1, m + 2)
+
+    def test_analytic_symbol_keeps_no_column_of_c(self, monkeypatch):
+        core, m = self._core_svd(monkeypatch, 0.5, {0: 1.0, 1: 0.6, 3: -0.4j})
+        assert core == (m + 3, m)
+
+    def test_symbol_wider_than_m_is_qr_reduced(self, monkeypatch):
+        # M = 16 at lambda = 0.1, so bands up to 40 and down to -30 leave
+        # more than M rows of B and columns of C
+        reduced = []
+        qr = np.linalg.qr
+
+        def spy(matrix, *args, **kwargs):
+            reduced.append(np.shape(matrix))
+            return qr(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        coeffs = {d: 1.0 / (1 + abs(d)) + 0.3j * (d % 2) for d in range(-30, 41)}
+        core, m = self._core_svd(monkeypatch, 0.1, coeffs)
+        assert m == 16
+        assert core == (2 * m, 2 * m)
+        assert sorted(reduced) == [(30, m), (40, m)]
+
+    def test_eleven_band_symbol_at_0_8_decomposes_171_not_256(self, monkeypatch):
+        coeffs = {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)}
+        core, m = self._core_svd(monkeypatch, 0.8, coeffs)
+        assert m == 166
+        assert core == (171, 171)
 
     def test_unit_lambda_is_the_dense_svd(self):
         op = truncate(_spec(cmath.exp(0.7j), {0: 1.0, 1: 0.7, -2: 0.4j}), 96)
@@ -370,6 +415,30 @@ class TestWcoSpectrum:
     def test_distinctness_enforced(self):
         w = WeightedCompositionSpec(FourierSymbol({0: 1.5, 2: 1j}), 0.3 + 0.2j)
         assert wco_spectrum_check(w, 16).passed
+
+    def test_powers_below_the_normal_range_pass(self):
+        # 0.8^m leaves the normal range near m = 3175 and is 0.0 from about
+        # m = 3340, so the tail of predicted points is no longer distinct
+        w = WeightedCompositionSpec(FourierSymbol({0: 1.0, 1: 0.5}), 0.8)
+        result = wco_spectrum_check(w, 3400)
+        assert result.residual == 0.0
+        assert result.passed
+
+    def test_perturbed_diagonal_still_fails(self, monkeypatch):
+        bands = spectral._bands
+
+        def perturbed(*args):
+            for d, band in bands(*args):
+                if d == 0:
+                    band = band.copy()
+                    band[100] += 1e-12
+                yield d, band
+
+        monkeypatch.setattr(spectral, "_bands", perturbed)
+        w = WeightedCompositionSpec(FourierSymbol({0: 1.0, 1: 0.5}), 0.8)
+        result = wco_spectrum_check(w, 3400)
+        assert result.residual > result.tolerance
+        assert not result.passed
 
 
 class TestFiniteRankStudy:
