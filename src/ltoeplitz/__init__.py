@@ -9,16 +9,11 @@ finite-rank dichotomy.
 """
 
 from .factorization import (
-    KernelGrid,
     VerificationResult,
     WeightedCompositionSpec,
     build_diag_unitary,
-    build_kernel_grid,
-    build_kernel_grid_sampled_tau,
     build_toeplitz,
     build_weighted_comp,
-    build_wco_kernel_grid,
-    kernel_grid_l2_norm,
     kernel_hs_norm,
     quadrature_apply,
     verify_toeplitz_comp_factorization,

@@ -228,6 +228,11 @@ def _cmd_svd(args: argparse.Namespace) -> int:
 
 def _cmd_hsnorm(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
+    if args.wco:
+        try:
+            w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
+        except ValueError as exc:
+            raise CliInputError(f"--wco: {exc}") from exc
     closed = spectral.hs_norm_closed_form(spec)
     truncations = [
         {"N": n, "frobenius": float(np.linalg.norm(operator.truncate(spec, n).entries))}
@@ -235,7 +240,6 @@ def _cmd_hsnorm(args: argparse.Namespace) -> int:
     ]
     payload: dict = {"closed_form": closed, "truncations": truncations}
     if args.wco:
-        w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
         payload["grid_size"] = args.grid_size
         payload["kernel_quadrature"] = factorization.kernel_hs_norm(w, args.grid_size)
     if args.fmt == "csv":

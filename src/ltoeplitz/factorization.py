@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_WCO_SUM_TOL",
     "DEFAULT_TOEPLITZ_COMP_TOL",
     "WeightedCompositionSpec",
-    "KernelGrid",
     "VerificationResult",
     "build_diag_unitary",
     "build_toeplitz",
@@ -36,11 +35,7 @@ __all__ = [
     "verify_unitary_factorization",
     "verify_wco_sum",
     "verify_toeplitz_comp_factorization",
-    "build_kernel_grid",
-    "build_wco_kernel_grid",
-    "build_kernel_grid_sampled_tau",
     "quadrature_apply",
-    "kernel_grid_l2_norm",
     "kernel_hs_norm",
     "wco_hs_norm_closed_form",
 ]
@@ -70,17 +65,6 @@ class WeightedCompositionSpec:
         if negative:
             raise ValueError(f"weight must be analytic; found index {negative[0]}")
         object.__setattr__(self, "multiplier", c)
-
-
-@dataclass(frozen=True, eq=False)
-class KernelGrid:
-    """Samples value[j, k] = kernel(theta_j, theta_k) on the uniform torus grid.
-
-    Index j is the output variable, k the integration variable.
-    """
-
-    grid_size: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -274,63 +258,43 @@ def verify_toeplitz_comp_factorization(
 # -- integral-operator kernels ---------------------------------------------------
 
 
-def _grid_phase(size: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(size) / size)
+def _kernel_rows(spec: LambdaToeplitzSpec, grid_size: int):
+    """Row blocks of (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)).
 
-
-def build_kernel_grid(spec: LambdaToeplitzSpec, grid_size: int) -> KernelGrid:
-    """Kernel (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)), |lambda| < 1."""
-    if abs(spec.lam) >= 1.0:
-        raise ValueError("kernel grid requires |lambda| < 1 (square-integrable kernel)")
+    The kernel of the operator on the M-point torus grid z_j = e^{2 pi i j / M},
+    _KERNEL_BLOCK_ROWS rows at a time in ascending j, so a caller needs memory
+    that grows like M, not M^2. Index j is the output variable, k the
+    integration variable. W(psi, c) is the operator of (c, psi), whose
+    phi_minus is 0.
+    """
+    lam = spec.lam
+    if abs(lam) >= 1.0:
+        raise ValueError(
+            f"kernel requires |lambda| < 1 (|multiplier| < 1 for W), got {abs(lam)}"
+        )
     m = int(grid_size)
-    plus_vals = spec.symbol.analytic_part().evaluate_on_grid(m)
-    minus_vals = spec.symbol.coanalytic_part().evaluate_on_grid(m)
-    phase = _grid_phase(m)
-    denom = 1.0 - spec.lam * np.outer(phase, phase.conj())
-    return KernelGrid(m, (plus_vals[:, np.newaxis] + minus_vals[np.newaxis, :]) / denom)
+    if m < 1:
+        raise ValueError(f"kernel grid size M must be >= 1, got {m}")
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    lam_z, z_bar = lam * z, z.conj()
+    plus = spec.symbol.analytic_part().evaluate_on_grid(m)[:, np.newaxis]
+    coanalytic = spec.symbol.coanalytic_part()
+    # W(psi, c) has phi_minus = 0: a scalar keeps each numerator one column
+    # wide, where a row of zeros would cost an extra rows x M sum per block
+    minus = coanalytic.evaluate_on_grid(m) if coanalytic.support else 0.0
+    for start in range(0, m, _KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + _KERNEL_BLOCK_ROWS)
+        block = np.outer(lam_z[rows], z_bar)
+        np.subtract(1.0, block, out=block)
+        np.divide(plus[rows] + minus, block, out=block)
+        yield block
 
 
-def _checked_tau(tau_samples) -> np.ndarray:
-    tau = np.asarray(tau_samples, dtype=complex).ravel()
-    if tau.size == 0 or np.max(np.abs(tau)) >= 1.0:
-        raise ValueError("sampled tau must be nonempty and stay strictly inside the disc")
-    return tau
-
-
-def _sampled_tau_kernel_rows(weight_vals: np.ndarray, tau: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of weight(z_j) / (1 - conj(z_k) tau_j) on the M = tau.size point grid."""
-    return weight_vals[rows, np.newaxis] / (1.0 - np.outer(tau[rows], _grid_phase(tau.size).conj()))
-
-
-def build_kernel_grid_sampled_tau(weight: FourierSymbol, tau_samples) -> KernelGrid:
-    """Kernel weight(z_j) / (1 - conj(z_k) tau_j) for grid-sampled tau with max|tau| < 1."""
-    tau = _checked_tau(tau_samples)
-    m = tau.size
-    return KernelGrid(m, _sampled_tau_kernel_rows(weight.evaluate_on_grid(m), tau, slice(None)))
-
-
-def _wco_tau(w: WeightedCompositionSpec, grid_size: int) -> np.ndarray:
-    if abs(w.multiplier) >= 1.0:
-        raise ValueError("kernel grid requires |multiplier| < 1")
-    return w.multiplier * _grid_phase(int(grid_size))
-
-
-def build_wco_kernel_grid(w: WeightedCompositionSpec, grid_size: int) -> KernelGrid:
-    """Kernel of W as an integral operator, for tau(z) = multiplier * z with |multiplier| < 1."""
-    return build_kernel_grid_sampled_tau(w.weight, _wco_tau(w, grid_size))
-
-
-def quadrature_apply(grid: KernelGrid, samples) -> np.ndarray:
-    """Trapezoid-rule application (1/M) sum_k kernel(j, k) f(theta_k)."""
+def quadrature_apply(spec: LambdaToeplitzSpec, samples) -> np.ndarray:
+    """Trapezoid-rule application (1/M) sum_k kernel(j, k) f(z_k), M = len(samples)."""
     f = np.asarray(samples, dtype=complex).ravel()
-    if f.size != grid.grid_size:
-        raise ValueError(f"sample count {f.size} does not match grid size {grid.grid_size}")
-    return grid.values @ f / grid.grid_size
-
-
-def kernel_grid_l2_norm(grid: KernelGrid) -> float:
-    """Quadrature value of the L2(T x T) kernel norm (normalized measure)."""
-    return float(np.sqrt(np.mean(np.abs(grid.values) ** 2)))
+    m = f.size
+    return np.concatenate([block @ f / m for block in _kernel_rows(spec, m)])
 
 
 def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
@@ -338,17 +302,12 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
 
     For tau(z) = c z the exact value is l2_norm(weight) / sqrt(1 - |c|^2);
     the Frobenius norms of the matrix truncations increase to the same limit.
-    The kernel is summed _KERNEL_BLOCK_ROWS rows at a time, so the memory
-    needed grows like M, not M^2.
     """
-    tau = _checked_tau(_wco_tau(w, grid_size))
-    m = tau.size
-    weight_vals = w.weight.evaluate_on_grid(m)
+    spec = LambdaToeplitzSpec(w.multiplier, w.weight)
     total = 0.0
-    for start in range(0, m, _KERNEL_BLOCK_ROWS):
-        block = _sampled_tau_kernel_rows(weight_vals, tau, slice(start, start + _KERNEL_BLOCK_ROWS))
+    for block in _kernel_rows(spec, grid_size):
         total += np.vdot(block, block).real
-    return math.sqrt(total) / m
+    return math.sqrt(total) / int(grid_size)
 
 
 def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:

@@ -335,7 +335,7 @@ def solve_recurrence(lam: complex, forcing, first_row, first_col) -> np.ndarray:
 
 def truncation_borders(spec: LambdaToeplitzSpec, size: int) -> tuple[np.ndarray, np.ndarray]:
     """First row (a_{-m}) and first column (a_n) of the N x N truncation."""
-    n = int(size)
+    n = _checked_size(size)
     row = np.array([spec.symbol.coefficient(-m) for m in range(n)], dtype=complex)
     col = np.array([spec.symbol.coefficient(k) for k in range(n)], dtype=complex)
     return row, col

@@ -210,9 +210,7 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     that would exceed it raises ``MemoryBudgetExceeded``. N steps without
     the certificate raise ``SpectralDecompositionError``.
     """
-    n = int(size)
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
+    n = _checked_size(size)
     budget = resolve_budget_mb()
     step_bytes = 2 * n * np.dtype(complex).itemsize
     step_limit = max(int(budget * 2**20 // step_bytes), 0)

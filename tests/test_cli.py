@@ -208,6 +208,14 @@ class TestBoundaryInput:
         assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8") == 2
         assert "--grid-size" in capsys.readouterr().err
 
+    def test_wco_names_the_flag_and_the_index(self, two_cos_path, capsys):
+        assert run_cli(
+            "hsnorm", "--wco", "--symbol", two_cos_path, "--lambda-re", "0.5", "--sizes", "8",
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --wco: weight must be analytic; found index -1\n"
+        assert captured.out == ""
+
     def test_apply_csv_refuses_overflow(self, tmp_path, capsys):
         # (1 + z) applied to 1e308 entries at lambda = 1 overflows to inf/nan
         sym = tmp_path / "one_plus_z.json"

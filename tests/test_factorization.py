@@ -11,13 +11,9 @@ from ltoeplitz import (
     LambdaToeplitzSpec,
     WeightedCompositionSpec,
     build_diag_unitary,
-    build_kernel_grid,
-    build_kernel_grid_sampled_tau,
     build_toeplitz,
-    build_wco_kernel_grid,
     build_weighted_comp,
     entry,
-    kernel_grid_l2_norm,
     kernel_hs_norm,
     powers,
     quadrature_apply,
@@ -29,7 +25,14 @@ from ltoeplitz import (
     wco_spectrum_check,
 )
 
-from conftest import disc_lambdas, random_spec, random_symbol, symbols, unimodular_lambdas
+from conftest import (
+    disc_lambdas,
+    peak_traced_mb,
+    random_spec,
+    random_symbol,
+    symbols,
+    unimodular_lambdas,
+)
 
 RNG = np.random.default_rng(4321)
 
@@ -341,22 +344,37 @@ def test_toeplitz_comp_names_an_overflowing_power():
     assert verify_toeplitz_comp_factorization(spec, 200)[1].passed
 
 
+def closed_kernel(spec, m):
+    """M x M kernel (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)).
+
+    Built from direct sums a_n z^n on the grid z_j = e^{2 pi i j / M}, as the
+    oracle for the row-blocked kernel functions.
+    """
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    plus = np.zeros(m, dtype=complex) + sum(a * z**n for n, a in spec.symbol.items() if n >= 0)
+    minus = np.zeros(m, dtype=complex) + sum(a * z**n for n, a in spec.symbol.items() if n < 0)
+    return (plus[:, None] + minus[None, :]) / (1.0 - spec.lam * np.outer(z, z.conj()))
+
+
 class TestKernelGrids:
     def test_zero_lambda_kernel_splits(self):
+        # at lambda = 0 the kernel is phi_plus(z_j) + phi_minus(z_k), so the
+        # rule gives phi_plus * mean(f) + mean(phi_minus * f)
         phi = FourierSymbol({1: 2.0, -1: 3.0, 0: 1.0})
-        spec = LambdaToeplitzSpec(0.0, phi)
-        grid = build_kernel_grid(spec, 32)
-        plus = phi.analytic_part().evaluate_on_grid(32)
-        minus = phi.coanalytic_part().evaluate_on_grid(32)
-        assert np.max(np.abs(grid.values - (plus[:, None] + minus[None, :]))) < 1e-15
+        z = np.exp(2j * np.pi * np.arange(32) / 32)
+        f = np.random.default_rng(3).standard_normal(32)
+        expected = (1.0 + 2.0 * z) * np.mean(f) + np.mean(3.0 * z.conj() * f)
+        applied = quadrature_apply(LambdaToeplitzSpec(0.0, phi), f)
+        assert np.max(np.abs(applied - expected)) < 1e-14
 
     def test_constant_symbol_plugin_values(self):
         spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0}))
-        grid = build_kernel_grid(spec, 16)
         theta = 2.0 * np.pi * np.arange(16) / 16
         for j, k in ((0, 0), (3, 5), (15, 2)):
+            # M e_k picks out column k of the kernel
+            column = quadrature_apply(spec, 16.0 * (np.arange(16) == k))
             expected = 1.0 / (1.0 - 0.5 * np.exp(1j * theta[j]) * np.exp(-1j * theta[k]))
-            assert abs(grid.values[j, k] - expected) < 1e-14
+            assert abs(column[j] - expected) < 1e-14
 
     def test_quadrature_apply_matches_naive_columns(self):
         rng = np.random.default_rng(5)
@@ -366,10 +384,9 @@ class TestKernelGrids:
         )
         spec = LambdaToeplitzSpec(0.6, phi)
         m_grid = 512
-        grid = build_kernel_grid(spec, m_grid)
         theta = 2.0 * np.pi * np.arange(m_grid) / m_grid
         for m in (0, 5):
-            applied = quadrature_apply(grid, np.exp(1j * m * theta))
+            applied = quadrature_apply(spec, np.exp(1j * m * theta))
             n_col = m + 4  # column support ends at m + max positive index
             column = truncate(spec, n_col + 1).entries[:, m]
             synthesized = sum(
@@ -377,19 +394,41 @@ class TestKernelGrids:
             )
             assert np.max(np.abs(applied - synthesized)) < 1e-8
 
+    @pytest.mark.parametrize("grid_size", [1, 127, 129, 300])
+    def test_blocked_apply_matches_full_kernel(self, grid_size):
+        # 127, 129 and 300 leave a partial last block of rows
+        rng = np.random.default_rng(grid_size)
+        spec = LambdaToeplitzSpec(0.7 * cmath.exp(-1.1j), random_symbol(rng))
+        f = rng.standard_normal(grid_size) + 1j * rng.standard_normal(grid_size)
+        expected = closed_kernel(spec, grid_size) @ f / grid_size
+        applied = quadrature_apply(spec, f)
+        assert applied.shape == (grid_size,)
+        assert np.max(np.abs(applied - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_apply_memory_grows_like_m(self):
+        # a 4096 x 4096 complex kernel would need 256 MiB
+        spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0, -1: 1.0}))
+        applied, peak = peak_traced_mb(quadrature_apply, spec, np.ones(4096))
+        # the operator of (lambda, 1 + conj(z)) maps 1 to 1; the rule adds
+        # only aliased terms of order lambda^(M-1)
+        assert np.max(np.abs(applied - 1.0)) < 1e-12
+        # about three 128-row blocks of 8 MiB live at once
+        assert peak < 32.0
+
     def test_rejects_boundary_lambda(self):
         spec = LambdaToeplitzSpec(1.0, FourierSymbol({0: 1.0}))
         with pytest.raises(ValueError, match="lambda"):
-            build_kernel_grid(spec, 8)
+            quadrature_apply(spec, np.ones(8))
 
     def test_wco_kernel_rejects_boundary_multiplier(self):
         w = WeightedCompositionSpec(FourierSymbol({0: 1.0}), 1.0)
         with pytest.raises(ValueError, match="multiplier"):
-            build_wco_kernel_grid(w, 8)
+            kernel_hs_norm(w, 8)
 
-    def test_sampled_tau_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            build_kernel_grid_sampled_tau(FourierSymbol({0: 1.0}), np.ones(8))
+    def test_rejects_empty_samples(self):
+        spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0}))
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            quadrature_apply(spec, [])
 
 
 class TestKernelHsNorm:
@@ -426,26 +465,21 @@ class TestKernelHsNorm:
         assert norms[-1] <= closed + 1e-12
         assert abs(norms[-1] - closed) < 1e-12
 
-    @pytest.mark.parametrize("grid_size", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("grid_size", [1, 7, 64, 127, 129, 300, 1000])
     def test_blocked_sum_matches_full_grid(self, grid_size):
+        # the kernel of W(psi, c) for tau(z) = c z is psi(z_j) / (1 - c z_j conj(z_k))
         rng = np.random.default_rng(grid_size)
         w = WeightedCompositionSpec(random_symbol(rng, analytic=True), 0.7 * cmath.exp(0.3j))
-        full = kernel_grid_l2_norm(build_wco_kernel_grid(w, grid_size))
+        z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+        psi = sum(a * z**n for n, a in w.weight.items())
+        kernel = psi[:, None] / (1.0 - w.multiplier * np.outer(z, z.conj()))
+        full = math.sqrt(np.mean(np.abs(kernel) ** 2))
         assert kernel_hs_norm(w, grid_size) == pytest.approx(full, rel=1e-13, abs=0.0)
 
     def test_rejects_empty_grid(self):
         w = WeightedCompositionSpec(FourierSymbol({0: 1.0}), 0.5)
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match="M must be >= 1"):
             kernel_hs_norm(w, 0)
-
-    def test_general_tau_via_sampling(self):
-        psi = FourierSymbol({0: 1.0, 1: -0.5j})
-        m_grid = 512
-        theta = 2.0 * np.pi * np.arange(m_grid) / m_grid
-        tau = 0.8 * np.exp(2j * theta)  # tau(z) = 0.8 z^2 sampled on the grid
-        grid = build_kernel_grid_sampled_tau(psi, tau)
-        closed = psi.l2_norm() / math.sqrt(1.0 - 0.64)
-        assert abs(kernel_grid_l2_norm(grid) - closed) < 1e-9
 
     def test_closed_form_rejects_boundary(self):
         w = WeightedCompositionSpec(FourierSymbol({0: 1.0}), 1.0)

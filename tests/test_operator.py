@@ -311,6 +311,11 @@ class TestSolveRecurrence:
         shifted = solved[1:, 1:] - lam * solved[:-1, :-1]
         assert np.max(np.abs(shifted - b[:-1, :-1])) < 1e-12
 
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_borders_reject_empty_truncation(self, size):
+        with pytest.raises(ValueError, match="truncation size must be >= 1"):
+            truncation_borders(_spec(0.5, {0: 1.0, -1: 2.0}), size)
+
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corner"):
             solve_recurrence(0.5, np.zeros((2, 2)), [1.0, 0.0], [2.0, 0.0])

@@ -289,6 +289,11 @@ class TestTopSingularValue:
         got = top_singular_value(_spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
         assert abs(got - (2.0 + 2.0 * math.cos(math.pi / 1025))) <= 1e-10
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_empty_truncation(self, size):
+        with pytest.raises(ValueError, match="truncation size must be >= 1"):
+            top_singular_value(_spec(0.5, {0: 1.0}), size)
+
     def test_basis_is_charged_against_the_budget(self, monkeypatch):
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
         unbudgeted = top_singular_value(spec, 1024)
