@@ -16,9 +16,8 @@ import numpy as np
 from ltoeplitz import (
     FourierSymbol,
     LambdaToeplitzSpec,
-    analyze,
+    svd_study,
     trace_norm_bound_check,
-    truncate,
 )
 from ltoeplitz.output import csv_text
 
@@ -40,7 +39,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     spec = random_spec(rng, args.radius)
-    report = analyze(truncate(spec, args.size), spec.lam)
+    (report,) = svd_study(spec, [args.size])
     print(f"lambda = {spec.lam:.6f}  support = {list(spec.symbol.support)}")
     print(f"sigma_1 = {report.operator_norm:.6f}  trace norm = {report.trace_norm:.6f}")
     print(f"numerical rank = {report.numerical_rank} of N = {args.size}")

@@ -41,11 +41,13 @@ from .spectral import (
     SpectralReport,
     analyze,
     finite_rank_study,
+    frobenius_norm,
     hs_norm_closed_form,
     norm_convergence_study,
     operator_norm,
     sawtooth_growth_study,
     singular_values,
+    svd_study,
     top_singular_value,
     trace_norm_bound_check,
     wco_spectrum_check,

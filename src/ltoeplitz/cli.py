@@ -211,10 +211,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_svd(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
-    reports = [
-        spectral.analyze(operator.truncate(spec, n), spec.lam, args.rank_tol)
-        for n in args.sizes
-    ]
+    reports = spectral.svd_study(spec, args.sizes, args.rank_tol)
     if args.fmt == "csv":
         blocks = [
             (r.size, csv_text("k,sigma_k", r.singular_value_rows())) for r in reports
@@ -235,8 +232,7 @@ def _cmd_hsnorm(args: argparse.Namespace) -> int:
             raise CliInputError(f"--wco: {exc}") from exc
     closed = spectral.hs_norm_closed_form(spec)
     truncations = [
-        {"N": n, "frobenius": float(np.linalg.norm(operator.truncate(spec, n).entries))}
-        for n in args.sizes
+        {"N": n, "frobenius": spectral.frobenius_norm(spec, n)} for n in args.sizes
     ]
     payload: dict = {"closed_form": closed, "truncations": truncations}
     if args.wco:

@@ -19,6 +19,7 @@ from .operator import (
     _banded,
     _bands,
     _checked_size,
+    _unit_scaled,
     powers,
 )
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
@@ -302,12 +303,14 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
 
     For tau(z) = c z the exact value is l2_norm(weight) / sqrt(1 - |c|^2);
     the Frobenius norms of the matrix truncations increase to the same limit.
+    The kernel is formed from the weight scaled by a power of two, undone
+    at the end, so that its squares stay in the float range.
     """
-    spec = LambdaToeplitzSpec(w.multiplier, w.weight)
+    weight, scale = _unit_scaled(w.weight)
     total = 0.0
-    for block in _kernel_rows(spec, grid_size):
+    for block in _kernel_rows(LambdaToeplitzSpec(w.multiplier, weight), grid_size):
         total += np.vdot(block, block).real
-    return math.sqrt(total) / int(grid_size)
+    return math.sqrt(total) / int(grid_size) / scale
 
 
 def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:

@@ -9,8 +9,8 @@ operator attached to (lambda, phi):
 * |lambda| < 1: singular values decay as sigma_{2m+1} <= |lambda|^m * sigma_1
   (block argument: the tail block starting at row/column m is lambda^m times
   a smaller truncation), which makes the trace norm uniformly bounded. The
-  same block fact bounds the SVD work of ``analyze``: once the entries
-  certify that the tail block is below eps * sigma_1, only an
+  same block fact bounds the SVD work of ``svd_study``: lambda and phi
+  alone fix the M past which the tail is below eps * sigma_1, and only an
   (M + p) x (M + q) core is decomposed for a symbol supported on -q..p,
   with M about log(eps)/log|lambda| whatever N is.
 * |lambda| = 1: truncation operator norms converge upward to the sup norm of
@@ -25,10 +25,10 @@ operator attached to (lambda, phi):
   ``operator.prepare``, stopped once the residual of the top Ritz pair is at
   most 1e-13 * sigma_1. Its Krylov basis, not an N x N matrix, is charged
   against the memory budget, so these studies run past the dense limit.
-  ``analyze`` and ``finite_rank_study`` need every singular value and take
-  an SVD: of the certified core for |lambda| < 1, of the whole matrix
-  otherwise. ``singular_values`` and ``operator_norm``, the tests' oracles,
-  always take the plain dense SVD.
+  ``svd_study`` and ``finite_rank_study`` need every singular value and
+  take an SVD: of the core where it is smaller than T_N, of T_N otherwise.
+  ``analyze``, ``singular_values`` and ``operator_norm``, the tests'
+  oracles, always take the plain dense SVD.
 * rank: lambda = 0 forces rank <= 2; one-sided symbols give exact
   corank-n_0 triangular structure; generic two-sided symbols with
   0 < |lambda| < 1 have numerical rank growing without bound.
@@ -49,6 +49,8 @@ from .operator import (
     TruncatedOperator,
     _bands,
     _checked_size,
+    _unit_scale,
+    _unit_scaled,
     powers,
     prepare,
     resolve_budget_mb,
@@ -63,6 +65,8 @@ __all__ = [
     "SpectralDecompositionError",
     "SpectralReport",
     "analyze",
+    "svd_study",
+    "frobenius_norm",
     "singular_values",
     "operator_norm",
     "top_singular_value",
@@ -86,9 +90,6 @@ _KRYLOV_SEED = 11
 _CHECK_GROWTH = 1.15
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_SQRT_TINY = math.sqrt(_TINY)
-_SQRT_MAX = math.sqrt(float(np.finfo(float).max))
-_MAX_EXP = int(np.finfo(float).maxexp) - 1  # largest power of two below the float max
 
 
 class SpectralDecompositionError(RuntimeError):
@@ -131,11 +132,6 @@ class SpectralReport:
         return [(k + 1, float(s)) for k, s in enumerate(self.singular_values)]
 
 
-def _require_finite(op: TruncatedOperator) -> None:
-    if not np.all(np.isfinite(op.entries)):
-        raise ValueError(f"truncation N={op.size} has non-finite entries")
-
-
 def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
     """Singular values of matrix; a LAPACK failure names the truncation size."""
     try:
@@ -145,8 +141,9 @@ def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
 
 
 def singular_values(op: TruncatedOperator) -> np.ndarray:
-    """Dense SVD of every entry: the plain oracle, never compressed."""
-    _require_finite(op)
+    """Dense SVD of every entry: the plain oracle."""
+    if not np.all(np.isfinite(op.entries)):
+        raise ValueError(f"truncation N={op.size} has non-finite entries")
     return _svdvals(op.entries, op.size)
 
 
@@ -263,118 +260,105 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     )
 
 
-def _negligible_tail_start(entries: np.ndarray) -> int:
-    """Smallest M with ||T[M:, M:]||_F <= eps * c, c the largest column norm.
-
-    The tail's squared norm is summed shell by shell from the bottom right,
-    s_k = ||T[k, k:]||^2 + ||T[k+1:, k]||^2, one vector at a time, so no
-    N x N temporary is made. Where eps^2 c^2 would overflow or fall below
-    the normal range, underflowed squares could hide a tail, so the whole
-    matrix is kept (M = N).
-    """
-    n = entries.shape[0]
-    bound = _EPS**2 * max(np.vdot(col, col).real for col in entries.T)
-    if not _TINY <= bound < math.inf:
-        return n
-    tail = 0.0
-    for k in range(n - 1, -1, -1):
-        row, col = entries[k, k:], entries[k + 1 :, k]
-        tail += np.vdot(row, row).real + np.vdot(col, col).real
-        if tail > bound:
-            return k + 1
-    return 0
-
-
-def _compressed_singular_values(op: TruncatedOperator) -> np.ndarray:
-    """All N singular values, from an (M + p') x (M + q') core when the tail
-    is negligible.
-
-    With T = [[A, C], [B, D]] split at M = ``_negligible_tail_start``, D is
-    dropped. Deleting the exactly zero rows of B and columns of C leaves B'
-    (p' rows) and C' (q' columns) and the same nonzero singular values; for
-    a band-limited symbol p' and q' are at most its widest positive and
-    negative indices. A side with more than M of them is reduced to its QR
-    R factor: B' = Q_B R_B (C'^T = Q_C R_C), Q with orthonormal columns, so
-    [[A, C'], [B', 0]] = diag(I, Q_B) [[A, R_C^T], [R_B, 0]] diag(I, Q_C^T)
-    keeps them too. The core's min(M + p', M + q') singular values are
-    followed by exact zeros up to N. When the core's larger side is not below
-    N the core is T itself. The core is filled in place, which keeps the peak
-    memory below that of the dense SVD.
-    """
-    t, n = op.entries, op.size
-    m = _negligible_tail_start(t)
-    b, c = t[m:, :m], t[:m, m:]
-    rows = np.flatnonzero(np.any(b != 0, axis=1))
-    cols = np.flatnonzero(np.any(c != 0, axis=0))
-    p, q = min(rows.size, m), min(cols.size, m)
-    if m + max(p, q) >= n:
-        return _svdvals(t, n)
-    core = np.zeros((m + p, m + q), dtype=complex)
-    core[:m, :m] = t[:m, :m]
-    core[m:, :m] = np.linalg.qr(b[rows], mode="r") if rows.size > m else b[rows]
-    core[:m, m:] = np.linalg.qr(c[:, cols].T, mode="r").T if cols.size > m else c[:, cols]
-    return np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
-
-
-def _frobenius_norm(entries: np.ndarray, top: float) -> float:
-    """``np.linalg.norm(entries)``, scaled by a power of two where its squares
-    could leave the normal range.
-
-    With sigma_1 = top, every |entry| is at most top and at least one is at
-    least top / N, and ||T||_F^2 <= N top^2. Between N sqrt(tiny) and
-    sqrt(max / N) the plain norm is therefore safe and is kept as it is;
-    outside, the entries are scaled so that the largest lands near 1, which
-    rounds nothing.
-    """
-    n = entries.shape[0]
-    if top == 0.0 or n * _SQRT_TINY <= top <= _SQRT_MAX / math.sqrt(n):
-        return float(np.linalg.norm(entries))
-    scale = math.ldexp(1.0, min(-math.frexp(top)[1], _MAX_EXP))
-    return float(np.linalg.norm(entries * scale)) / scale
+def _report(sing: np.ndarray, frob: float, lam: complex, rank_tol: float) -> SpectralReport:
+    """The report of a truncation with singular values ``sing`` (descending)."""
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError("rank_tol must lie in (0, 1)")
+    top = float(sing[0])
+    ms = np.arange(sing.size // 2)
+    return SpectralReport(
+        size=sing.size,
+        singular_values=sing,
+        operator_norm=top,
+        frobenius_norm=frob,
+        trace_norm=float(np.sum(sing)),
+        numerical_rank=int(np.count_nonzero(sing > rank_tol * top)) if top > 0.0 else 0,
+        decay_margins=(abs(complex(lam)) ** ms) * top - sing[2 * ms],
+    )
 
 
 def analyze(
     op: TruncatedOperator, lam: complex, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SpectralReport:
-    """Every singular value of a truncation, with norms, numerical rank and
-    decay margins.
+    """Every singular value of any matrix, with norms, numerical rank and
+    decay margins: the dense oracle of ``svd_study``.
 
-    The SVD is certified from the entries, not from lambda. Let c be the
-    largest column norm (a lower bound on sigma_1) and M the smallest index
-    with ||T[M:, M:]||_F <= eps * c, eps the machine epsilon. For
-    |lambda| < 1 that tail is lambda^M times a smaller truncation, so M is
-    about log(eps)/log|lambda| whatever N is. The tail block is set to zero,
-    and of the off-diagonal blocks T[M:, :M] and T[:M, M:] only the p' rows
-    and q' columns that are not exactly zero are kept, each side capped at M
-    by a QR reduction (see ``_compressed_singular_values``). For a symbol
-    supported on -q..p that is an (M + p) x (M + q) core. When its larger
-    side is below N only the core is decomposed, and singular values past
-    its smaller side are then 0.0. By Weyl's inequality each sigma_i moves
-    by at most the dropped block's 2-norm, <= eps * sigma_1, below the
-    backward error of the SVD itself. Matrices without such a core
-    (|lambda| = 1, small N, arbitrary entries) take the dense SVD of T, bit
-    for bit as ``singular_values``.
+    The singular values are those of ``singular_values``, bit for bit. The
+    Frobenius norm is ``np.linalg.norm`` of the entries scaled by the
+    ``_unit_scale`` of sigma_1, which bounds every |entry|.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError("rank_tol must lie in (0, 1)")
-    _require_finite(op)
-    sing = _compressed_singular_values(op)
-    top = float(sing[0])
-    frob = _frobenius_norm(op.entries, top)
-    trace = float(np.sum(sing))
-    rank = int(np.count_nonzero(sing > rank_tol * top)) if top > 0.0 else 0
-    half = op.size // 2
-    ms = np.arange(half)
-    margins = (abs(complex(lam)) ** ms) * top - sing[2 * ms]
-    return SpectralReport(
-        size=op.size,
-        singular_values=sing,
-        operator_norm=top,
-        frobenius_norm=frob,
-        trace_norm=trace,
-        numerical_rank=rank,
-        decay_margins=margins,
-    )
+    sing = singular_values(op)
+    scale = _unit_scale(float(sing[0]))
+    return _report(sing, float(np.linalg.norm(op.entries * scale)) / scale, lam, rank_tol)
+
+
+def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray | None:
+    """The SVD core of the N x N truncation, or None when |lambda| = 1 or
+    the core is not smaller.
+
+    T[M:, M:] is lambda^M T_{N-M}, of Frobenius norm at most
+    |lambda|^M l2_norm(phi) / sqrt(1 - |lambda|^2) (bands |d| < N), and the
+    norm c of column 0 or row 0 is at most sigma_1. M is the least index
+    with that bound <= eps * c, from scaled coefficients in O(K), with
+    |lambda| raised by 4 eps to cover the rounding of each power. Dropping
+    the tail moves each sigma_i by at most eps * sigma_1 (Weyl). For bands
+    on -q..p the rest is zero outside its leading (M + p) x (M + q) block,
+    cut from the truncation of side M + max(p, q) under the memory budget.
+    """
+    n = size
+    grown = abs(spec.lam) * (1.0 + 4.0 * _EPS)
+    if grown >= 1.0:
+        return None
+    scaled, _ = _unit_scaled(spec.symbol, n)
+    analytic, coanalytic = scaled.analytic_part().l2_norm(), scaled.coanalytic_part().l2_norm()
+    phi = math.hypot(analytic, coanalytic)
+    if not math.isfinite(phi):
+        raise ValueError(f"truncation N={n} has non-finite entries")
+    m = 1  # enough for lambda = 0 and for the zero truncation
+    if phi > 0.0 and grown > 0.0:
+        c = max(analytic, math.hypot(abs(scaled.coefficient(0)), coanalytic))
+        target = _EPS * (c / phi) * math.sqrt((1.0 - grown) * (1.0 + grown))
+        # floor of the rounded logarithm, then settled on the powers themselves
+        m = math.floor(math.log(target) / math.log(grown))
+        while grown**m > target:
+            m += 1
+    bands = [d for d, _ in spec.symbol.items() if -n < d < n] + [0]
+    p, q = max(bands), -min(bands)
+    if m + max(p, q) >= n:
+        return None
+    try:
+        core = truncate(spec, m + max(p, q)).entries[: m + p, : m + q]
+    except MemoryBudgetExceeded as exc:
+        raise MemoryBudgetExceeded(f"N={n}, SVD core: {exc}") from exc
+    core[m:, m:] = 0.0
+    return core
+
+
+def frobenius_norm(spec: LambdaToeplitzSpec, size: int) -> float:
+    """Frobenius norm of the N x N truncation, summed band by band in O(N)
+    memory from scaled coefficients, independent of any SVD and closed form."""
+    n = _checked_size(size)
+    scaled, scale = _unit_scaled(spec.symbol, n)
+    total = math.fsum(np.vdot(band, band).real for _, band in _bands(scaled, n, spec.lam))
+    return math.sqrt(total) / scale
+
+
+def svd_study(
+    spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
+) -> list[SpectralReport]:
+    """One ``SpectralReport`` per size N: the singular values of ``_core``,
+    then exact zeros up to N, with ``frobenius_norm``; without a core,
+    ``analyze`` of the dense truncation."""
+    reports = []
+    for size in sizes:
+        n = _checked_size(size)
+        core = _core(spec, n)
+        if core is None:
+            reports.append(analyze(truncate(spec, n), spec.lam, rank_tol))
+        else:
+            sing = np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
+            reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
+    return reports
 
 
 def hs_norm_closed_form(spec: LambdaToeplitzSpec) -> float:
@@ -462,8 +446,5 @@ def wco_spectrum_check(
 def finite_rank_study(
     spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[tuple[int, int]]:
-    """Numerical rank of each truncation size."""
-    return [
-        (int(n), analyze(truncate(spec, int(n)), spec.lam, rank_tol).numerical_rank)
-        for n in sizes
-    ]
+    """Numerical rank of each truncation size, from ``svd_study``."""
+    return [(r.size, r.numerical_rank) for r in svd_study(spec, sizes, rank_tol)]

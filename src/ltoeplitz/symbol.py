@@ -167,10 +167,9 @@ class FourierSymbol:
     # -- norms and evaluation -----------------------------------------------
 
     def l2_norm(self) -> float:
-        """Exact sqrt(sum |a_n|^2) over the stored support."""
-        return math.sqrt(
-            sum(v.real * v.real + v.imag * v.imag for v in self._coeffs.values())
-        )
+        """sqrt(sum |a_n|^2) over the stored support; ``math.hypot`` scales,
+        so no square overflows or underflows on the way."""
+        return math.hypot(*(x for v in self._coeffs.values() for x in (v.real, v.imag)))
 
     def evaluate_on_grid(self, grid_size: int) -> np.ndarray:
         """Values sum_n a_n e^{i n theta_k} at theta_k = 2 pi k / grid_size.

@@ -135,6 +135,33 @@ class TestBandwiseMemory:
         assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
 
 
+class TestSpectralPastTheDenseLimit:
+    """svd, rank and hsnorm read an SVD core and the bands, not the N x N truncation."""
+
+    COEFFS = {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)}
+
+    def test_commands_run_past_the_dense_limit(self, tmp_path, monkeypatch):
+        sym = tmp_path / "band.json"
+        write_symbol_file(FourierSymbol(self.COEFFS), sym)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "16")
+        assert ltoeplitz.dense_size_limit() == 1024
+        common = ("--symbol", sym, "--lambda-re", "0.8", "--sizes", "4096")
+        outs = {command: tmp_path / f"{command}.json" for command in ("svd", "rank", "hsnorm")}
+        # a dense 4096 x 4096 complex matrix would take 256 MB
+        for command, out in outs.items():
+            code, peak_mb = peak_traced_mb(run_cli, command, *common, "--out", out)
+            assert code == 0
+            assert peak_mb < 16.0
+        (report,) = json.loads(outs["svd"].read_text())
+        top = ltoeplitz.top_singular_value(LambdaToeplitzSpec(0.8, FourierSymbol(self.COEFFS)), 4096)
+        assert abs(report["operator_norm"] - top) <= 1e-12 * top
+        assert json.loads(outs["rank"].read_text()) == [
+            {"N": 4096, "numerical_rank": report["numerical_rank"]}
+        ]
+        (hs,) = json.loads(outs["hsnorm"].read_text())["truncations"]
+        assert hs["frobenius"] == report["frobenius_norm"]
+
+
 class TestBoundaryInput:
     """Bad input fails at the boundary with exit 2 and a message naming the field."""
 
@@ -375,7 +402,7 @@ class TestSvd:
         assert direct == frobenius
 
     def test_sigma_match_the_closed_form_matrix(self, tmp_path):
-        # lambda = 0.8 on support -3..4: the compressed core at both sizes
+        # lambda = 0.8 on support -3..4: the SVD core at both sizes
         coeffs = {d: complex(1.0 / (1 + d * d), 0.3 * d) for d in range(-3, 5)}
         sym = tmp_path / "band.json"
         write_symbol_file(FourierSymbol(coeffs), sym)
@@ -427,6 +454,27 @@ class TestHsNorm:
 
     def test_circle_lambda_rejected(self, two_cos_path):
         assert run_cli("hsnorm", "--symbol", two_cos_path, "--lambda-re", "1") == 2
+
+    @pytest.mark.parametrize("power", [-560, 560])
+    def test_scaled_symbol_scales_every_value(self, tmp_path, power):
+        # at 2^-560 the squares underflow to 0, at 2^560 they overflow
+        data = {}
+        for p in (0, power):
+            sym = tmp_path / f"s{p}.json"
+            write_symbol_file(FourierSymbol({0: math.ldexp(1.0, p), 1: 0.3 * math.ldexp(1.0, p)}), sym)
+            out = tmp_path / f"hs{p}.json"
+            code = run_cli(
+                "hsnorm", "--symbol", sym, "--lambda-re", "0.5", "--sizes", "8,64",
+                "--wco", "--grid-size", "64", "--out", out,
+            )
+            assert code == 0
+            data[p] = json.loads(out.read_text())
+        base, scaled = data[0], data[power]
+        pairs = [(base[k], scaled[k]) for k in ("closed_form", "kernel_quadrature")]
+        pairs += [(a["frobenius"], b["frobenius"]) for a, b in zip(base["truncations"], scaled["truncations"])]
+        for plain, got in pairs:
+            expected = math.ldexp(plain, power)
+            assert abs(got - expected) <= 1e-15 * expected
 
 
 class TestVerifyIdentities:

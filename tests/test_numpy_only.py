@@ -50,15 +50,16 @@ def test_norm_commands_leave_scipy_out(tmp_path):
 
 
 def test_svd_commands_leave_scipy_out(tmp_path):
-    # at lambda = 0.5 the size 256 takes the compressed SVD, 8 the dense one
+    # at lambda = 0.5 the size 256 takes the SVD core, 8 the dense SVD
     symbol_path = tmp_path / "two_sided.json"
     write_symbol_file(FourierSymbol({0: 1.0, 1: 0.7, -2: 0.4j}), symbol_path)
     common = ["--symbol", str(symbol_path), "--sizes", "8,256", "--lambda-re", "0.5"]
     runs = [
         ["svd", *common, "--out", str(tmp_path / "svd.json")],
         ["rank", *common, "--out", str(tmp_path / "rank.json")],
+        ["hsnorm", *common, "--out", str(tmp_path / "hsnorm.json")],
     ]
-    assert _run_in_fresh_process(runs) == "[0, 0] False"
+    assert _run_in_fresh_process(runs) == "[0, 0, 0] False"
 
 
 def test_fast_len_matches_scipy():

@@ -30,6 +30,8 @@ def read_rows(path):
     [
         ("sawtooth_growth.py", ["--sizes", "8,16"], ["N", "operator_norm"], 2),
         ("decay_margins.py", ["--seed", "3", "--size", "9"], ["k", "sigma_k"], 9),
+        # an SVD core, not the dense 4096 x 4096 truncation
+        ("decay_margins.py", ["--seed", "3", "--size", "4096"], ["k", "sigma_k"], 4096),
     ],
 )
 def test_script_writes_csv(tmp_path, name, args, header, count):

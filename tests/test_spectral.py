@@ -19,6 +19,7 @@ from ltoeplitz import (
     operator_norm,
     sawtooth,
     sawtooth_growth_study,
+    svd_study,
     top_singular_value,
     trace_norm_bound_check,
     truncate,
@@ -87,53 +88,65 @@ class TestAnalyze:
 
 
 def _svd_spy(monkeypatch):
-    """Record the shape of every matrix ``np.linalg.svd`` decomposes."""
-    shapes = []
+    """Record a copy of every matrix ``np.linalg.svd`` decomposes."""
+    seen = []
     svd = np.linalg.svd
 
     def spy(matrix, *args, **kwargs):
-        shapes.append(np.shape(matrix))
+        seen.append(np.array(matrix))
         return svd(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    return shapes
+    return seen
 
 
-def _tail_start(entries):
-    """Smallest M with ||T[M:, M:]||_F <= eps * (largest column norm), densely."""
-    bound = np.finfo(float).eps * np.max(np.linalg.norm(entries, axis=0))
-    n = entries.shape[0]
-    return next(k for k in range(n + 1) if np.linalg.norm(entries[k:, k:]) <= bound)
+def _certified_cut(spec, n):
+    """Smallest M with |lambda|^M l2(phi) / sqrt(1 - |lambda|^2) <= eps * c,
+    c the larger norm of column 0 and row 0 of the dense truncation; both
+    norms are taken relative to the largest coefficient, whatever its scale."""
+    bands = [a for d, a in spec.symbol.items() if abs(d) < n]
+    top = max(abs(a) for a in bands)
+    entries = truncate(spec, n).entries / top
+    c = max(np.linalg.norm(entries[:, 0]), np.linalg.norm(entries[0, :]))
+    phi = math.sqrt(sum(abs(a / top) ** 2 for a in bands))
+    mod = abs(spec.lam)
+    eps = np.finfo(float).eps
+    return next(m for m in range(n + 1) if mod**m * phi / math.sqrt(1 - mod**2) <= eps * c)
 
 
 class TestCompressedAnalyze:
-    def test_zero_lambda_decomposes_a_two_by_two_core(self, monkeypatch):
-        # lambda = 0 leaves only row 0 and column 0 nonzero
-        op = truncate(_spec(0.0, {0: 2.0, 1: 1.0, -1: 1.0j, 3: 0.5}), 64)
-        dense = np.linalg.svd(op.entries, compute_uv=False)
-        shapes = _svd_spy(monkeypatch)
-        sing = analyze(op, 0.0).singular_values
-        assert shapes == [(2, 2)]
+    """``svd_study`` decomposes a core fixed by lambda and phi, not the truncation."""
+
+    def test_zero_lambda_decomposes_a_one_plus_p_by_one_plus_q_core(self, monkeypatch):
+        # lambda = 0 leaves only row 0 and column 0 nonzero: M = 1, and the
+        # core holds bands 3 down to -1
+        spec = _spec(0.0, {0: 2.0, 1: 1.0, -1: 1.0j, 3: 0.5})
+        dense = np.linalg.svd(truncate(spec, 64).entries, compute_uv=False)
+        seen = _svd_spy(monkeypatch)
+        (report,) = svd_study(spec, [64])
+        sing = report.singular_values
+        assert [core.shape for core in seen] == [(4, 2)]
         assert sing.shape == (64,)
         assert np.all(sing[2:] == 0.0)
         assert np.max(np.abs(sing - dense)) <= 1e-15 * dense[0]
 
     def _core_svd(self, monkeypatch, lam, coeffs, n=256):
-        """The one core shape analyze decomposes, and M; every sigma is
+        """The one core shape svd_study decomposes, and M; every sigma is
         checked against the dense SVD to 1e-13 * sigma_1."""
-        op = truncate(_spec(lam, coeffs), n)
-        m = _tail_start(op.entries)
-        dense = np.linalg.svd(op.entries, compute_uv=False)
-        shapes = _svd_spy(monkeypatch)
-        sing = analyze(op, lam).singular_values
+        spec = _spec(lam, coeffs)
+        m = _certified_cut(spec, n)
+        dense = np.linalg.svd(truncate(spec, n).entries, compute_uv=False)
+        seen = _svd_spy(monkeypatch)
+        (report,) = svd_study(spec, [n])
+        sing = report.singular_values
         assert sing.shape == (n,)
         assert np.max(np.abs(sing - dense)) <= 1e-13 * dense[0]
-        (core,) = shapes
+        (core,) = [matrix.shape for matrix in seen]
         assert np.all(sing[min(core) :] == 0.0)
         return core, m
 
     def test_interior_lambda_decomposes_a_smaller_core(self, monkeypatch):
-        # one row of B and two columns of C are not zero: bands 1 and -2
+        # bands 1 and -2: one row below the cut and two columns beside it
         core, m = self._core_svd(monkeypatch, 0.5, {0: 1.0, 1: 0.7, -2: 0.4j})
         assert core == (m + 1, m + 2)
 
@@ -141,33 +154,35 @@ class TestCompressedAnalyze:
         core, m = self._core_svd(monkeypatch, 0.5, {0: 1.0, 1: 0.6, 3: -0.4j})
         assert core == (m + 3, m)
 
-    def test_symbol_wider_than_m_is_qr_reduced(self, monkeypatch):
-        # M = 16 at lambda = 0.1, so bands up to 40 and down to -30 leave
-        # more than M rows of B and columns of C
-        reduced = []
-        qr = np.linalg.qr
-
-        def spy(matrix, *args, **kwargs):
-            reduced.append(np.shape(matrix))
-            return qr(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        coeffs = {d: 1.0 / (1 + abs(d)) + 0.3j * (d % 2) for d in range(-30, 41)}
-        core, m = self._core_svd(monkeypatch, 0.1, coeffs)
-        assert m == 16
-        assert core == (2 * m, 2 * m)
-        assert sorted(reduced) == [(30, m), (40, m)]
-
     def test_eleven_band_symbol_at_0_8_decomposes_171_not_256(self, monkeypatch):
         coeffs = {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)}
         core, m = self._core_svd(monkeypatch, 0.8, coeffs)
         assert m == 166
-        assert core == (171, 171)
+        assert core == (m + 5, m + 5) == (171, 171)
+
+    def test_core_does_not_depend_on_n(self, monkeypatch):
+        coeffs = {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)}
+        spec = _spec(0.8, coeffs)
+        cores = _svd_spy(monkeypatch)
+        reports = svd_study(spec, [256, 1024, 4096])
+        assert all(np.array_equal(core, cores[0]) for core in cores)
+        assert all(np.array_equal(r.singular_values[:171], reports[0].singular_values[:171])
+                   for r in reports)
 
     def test_unit_lambda_is_the_dense_svd(self):
-        op = truncate(_spec(cmath.exp(0.7j), {0: 1.0, 1: 0.7, -2: 0.4j}), 96)
+        spec = _spec(cmath.exp(0.7j), {0: 1.0, 1: 0.7, -2: 0.4j})
+        op = truncate(spec, 96)
         dense = np.linalg.svd(op.entries, compute_uv=False)
-        assert np.array_equal(analyze(op, cmath.exp(0.7j)).singular_values, dense)
+        assert np.array_equal(analyze(op, spec.lam).singular_values, dense)
+        (report,) = svd_study(spec, [96])
+        assert np.array_equal(report.singular_values, dense)
+
+    def test_small_n_is_the_dense_svd(self):
+        # M = 53 at lambda = 0.5, so N = 48 has no core smaller than T_N
+        spec = _spec(0.5, {0: 1.0, 1: 0.7, -2: 0.4j})
+        dense = np.linalg.svd(truncate(spec, 48).entries, compute_uv=False)
+        (report,) = svd_study(spec, [48])
+        assert np.array_equal(report.singular_values, dense)
 
     def test_dense_random_matrix_is_the_dense_svd(self):
         entries = RNG.standard_normal((80, 80)) + 1j * RNG.standard_normal((80, 80))
@@ -177,28 +192,43 @@ class TestCompressedAnalyze:
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_squares_out_of_range_keep_the_dense_svd(self, scale):
-        # squared entries underflow or overflow, so no tail can be certified
+        # analyze, the oracle, decomposes every entry at any scale
         op = truncate(_spec(0.5, {0: scale, 1: 0.3 * scale}), 128)
         dense = np.linalg.svd(op.entries, compute_uv=False)
-        with np.errstate(over="ignore"):  # the Frobenius norm overflows at 1e160
-            report = analyze(op, 0.5)
+        report = analyze(op, 0.5)
         assert np.array_equal(report.singular_values, dense)
 
-    def test_nan_in_a_negligible_tail_is_rejected(self):
-        op = truncate(_spec(0.5, {0: 1.0, 1: 0.7}), 256)
-        op.entries[-1, -1] = np.nan
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_squares_out_of_range_take_the_core(self, monkeypatch, scale):
+        # squared entries underflow or overflow, but M is read from ratios
+        core, m = self._core_svd(monkeypatch, 0.5, {0: scale, 1: 0.3 * scale})
+        assert core == (m + 1, m)
+        (report,) = svd_study(_spec(0.5, {0: scale, 1: 0.3 * scale}), [256])
+        frob = np.linalg.norm(truncate(_spec(0.5, {0: 1.0, 1: 0.3}), 256).entries)
+        assert abs(report.frobenius_norm - scale * frob) <= 1e-15 * scale * frob
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_is_rejected(self, bad):
         with pytest.raises(ValueError, match="N=256"):
-            analyze(op, 0.5)
+            svd_study(_spec(0.5, {0: 1.0, 1: bad}), [256])
 
     def test_core_failure_carries_the_truncation_size(self, monkeypatch):
         def fail(matrix, *args, **kwargs):
             raise np.linalg.LinAlgError(f"no convergence at side {len(matrix)}")
 
-        op = truncate(_spec(0.5, {0: 1.0, 1: 0.7}), 256)
+        spec = _spec(0.5, {0: 1.0, 1: 0.7})
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(SpectralDecompositionError, match="N=256") as info:
-            analyze(op, 0.5)
+            svd_study(spec, [256])
         assert info.value.size == 256
+
+    def test_core_is_charged_against_the_budget(self, monkeypatch):
+        # bands -600..600 at lambda = 0.5: a 653 x 653 core at N = 4096
+        spec = _spec(0.5, {d: 1.0 / (1 + abs(d)) for d in range(-600, 601)})
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
+        message = r"N=4096, SVD core: N=653 needs .* allows N <= 512"
+        with pytest.raises(MemoryBudgetExceeded, match=message):
+            svd_study(spec, [4096])
 
 
 @given(
@@ -207,16 +237,22 @@ class TestCompressedAnalyze:
     st.integers(1, 300),
 )
 @settings(max_examples=40, deadline=None)
-def test_analyze_matches_the_dense_svd(phi, lam, n):
-    op = truncate(LambdaToeplitzSpec(lam, phi), n)
-    dense = np.linalg.svd(op.entries, compute_uv=False)
-    report = analyze(op, lam)
+def test_svd_study_matches_the_dense_svd(phi, lam, n):
+    spec = LambdaToeplitzSpec(lam, phi)
+    entries = truncate(spec, n).entries
+    dense = np.linalg.svd(entries, compute_uv=False)
+    (report,) = svd_study(spec, [n])
     top = float(dense[0])
     assert report.singular_values.shape == dense.shape
     assert np.max(np.abs(report.singular_values - dense)) <= 1e-13 * top
     threshold = DEFAULT_RANK_TOL * top
     if not np.any(np.abs(dense - threshold) <= 1e-12 * top):
         assert report.numerical_rank == int(np.count_nonzero(dense > threshold))
+    # subnormal entries lose their digits in the truncation's own products,
+    # and their squares underflow; the band sum scales the coefficients first
+    if top == 0.0 or top > 1e-150:
+        frob = float(np.linalg.norm(entries))
+        assert abs(report.frobenius_norm - frob) <= 1e-15 * frob
 
 
 class TestHsNormClosedForm:

@@ -37,6 +37,11 @@ class TestFromCoefficients:
         assert phi.is_zero
         assert phi.l2_norm() == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_l2_norm_squares_neither_underflow_nor_overflow(self, scale):
+        phi = FourierSymbol({0: 3.0 * scale, 2: 4.0j * scale})
+        assert math.isclose(phi.l2_norm(), 5.0 * scale, rel_tol=1e-15)
+
     def test_zero_values_dropped(self):
         phi = FourierSymbol.from_coefficients([(3, 0.0), (1, 2.0)])
         assert phi.support == (1,)
