@@ -95,10 +95,8 @@ def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
     return (spec.lam ** min(n, m)) * spec.symbol.coefficient(n - m)
 
 
-def resolve_budget_mb(budget_mb: float | None = None) -> float:
-    """The given budget, else ``LT_MEM_BUDGET_MB``, else the default."""
-    if budget_mb is not None:
-        return budget_mb
+def resolve_budget_mb() -> float:
+    """``LT_MEM_BUDGET_MB``, else the default."""
     raw = os.environ.get(MEM_BUDGET_ENV)
     if raw is None:
         return DEFAULT_MEM_BUDGET_MB
@@ -111,9 +109,9 @@ def resolve_budget_mb(budget_mb: float | None = None) -> float:
     return budget
 
 
-def dense_size_limit(budget_mb: float | None = None) -> int:
+def dense_size_limit() -> int:
     """Largest N whose dense N x N complex matrix fits the memory budget."""
-    budget_mb = resolve_budget_mb(budget_mb)
+    budget_mb = resolve_budget_mb()
     if budget_mb <= 0:
         return 0
     return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
@@ -174,14 +172,12 @@ def _banded(symbol: FourierSymbol, size: int, base: complex) -> np.ndarray:
     return out
 
 
-def truncate(
-    spec: LambdaToeplitzSpec, size: int, budget_mb: float | None = None
-) -> TruncatedOperator:
+def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
     """Dense N x N truncation; the leading principal block of every larger one."""
     n = _checked_size(size)
-    limit = dense_size_limit(budget_mb)
+    limit = dense_size_limit()
     if n > limit:
-        budget = resolve_budget_mb(budget_mb)
+        budget = resolve_budget_mb()
         needed = n * n * _BYTES_PER_ENTRY / 2**20
         raise MemoryBudgetExceeded(
             f"N={n} needs {needed:.1f} MB dense storage; "

@@ -346,18 +346,18 @@ def frobenius_norm(spec: LambdaToeplitzSpec, size: int) -> float:
 def svd_study(
     spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[SpectralReport]:
-    """One ``SpectralReport`` per size N: the singular values of ``_core``,
-    then exact zeros up to N, with ``frobenius_norm``; without a core,
-    ``analyze`` of the dense truncation."""
+    """One ``SpectralReport`` per size N, with ``frobenius_norm``: the
+    singular values of ``_core``, then exact zeros up to N, or without a
+    core those of the dense truncation."""
     reports = []
     for size in sizes:
         n = _checked_size(size)
         core = _core(spec, n)
         if core is None:
-            reports.append(analyze(truncate(spec, n), spec.lam, rank_tol))
+            sing = singular_values(truncate(spec, n))
         else:
             sing = np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
-            reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
+        reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
     return reports
 
 
@@ -422,8 +422,11 @@ def wco_spectrum_check(
     """Eigenvalues of the W truncation are exactly {multiplier^m * weight(0)}.
 
     The truncation is lower triangular, so its eigenvalues are read off the
-    diagonal; for weight(0) != 0 and 0 < |multiplier| < 1 the predicted points
-    must also be pairwise distinct (the tail of an infinite spectrum). Points
+    diagonal. The residual is the largest error of a diagonal entry relative
+    to its predicted point, absolute where that point lies below the normal
+    range, so an error in an entry of 0.8^200 is as visible as one in 1.0.
+    For weight(0) != 0 and 0 < |multiplier| < 1 the predicted points must
+    also be pairwise distinct (the tail of an infinite spectrum). Points
     below the normal range are left out of that test: there the powers round
     to a few subnormals or to 0.0, and equal points say nothing about the
     truncation.
@@ -434,12 +437,16 @@ def wco_spectrum_check(
     diag = first[1] if first[0] == 0 else np.zeros(n, dtype=complex)
     psi0 = w.weight.coefficient(0)
     predicted = powers(w.multiplier, n) * psi0
-    residual = float(np.max(np.abs(diag - predicted)))
+    magnitude = np.abs(predicted)
+    normal = magnitude >= _TINY
+    error = np.abs(diag - predicted)
+    error[normal] /= magnitude[normal]
+    residual = float(np.max(error))
     ok = residual <= tol
     mod = abs(w.multiplier)
     if psi0 != 0 and 0.0 < mod < 1.0:
-        normal = predicted[np.abs(predicted) >= _TINY]
-        ok = ok and len(set(normal.tolist())) == normal.size
+        points = predicted[normal]
+        ok = ok and len(set(points.tolist())) == points.size
     return VerificationResult("wco-spectrum", n, residual, tol, ok)
 
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ import pytest
 
 import ltoeplitz
 from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, truncate, write_symbol_file
-from ltoeplitz.cli import main
+from ltoeplitz.cli import main, parse_args
 from ltoeplitz.output import read_vector_csv, vector_csv_text
 
 from conftest import peak_traced_mb
@@ -33,6 +35,69 @@ def analytic_path(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# The flags every subcommand once took, each with a value it parses.
+FORMER_COMMON = {
+    "--lambda-re": "0.5", "--lambda-im": "0.25", "--symbol": "s.json", "--sizes": "9",
+    "--tol": "1e-9", "--out": "o.json", "--format": "csv", "--rank-tol": "1e-9",
+}
+OPERATOR = {"--lambda-re", "--lambda-im", "--symbol"}
+OUTPUT = {"--out", "--format"}
+READS = {
+    "build": OPERATOR | {"--sizes"} | OUTPUT,
+    "apply": OPERATOR | OUTPUT,
+    "svd": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
+    "hsnorm": OPERATOR | {"--sizes"} | OUTPUT,
+    "verify": OPERATOR | {"--sizes", "--tol"} | OUTPUT,
+    "rank": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
+    "spectrum": OPERATOR | {"--sizes", "--tol"} | OUTPUT,
+    "norms": OPERATOR | {"--sizes"} | OUTPUT,
+    "solve-recurrence": OPERATOR | {"--sizes"} | OUTPUT,
+    "sawtooth-demo": {"--sizes"} | OUTPUT,
+}
+REQUIRED = {"apply": ("--vector", "x.csv"), "verify": ("--identity", "unitary")}
+
+
+class TestFlagsPerCommand:
+    """Each subcommand takes exactly the flags it reads; argparse refuses the rest."""
+
+    @pytest.mark.parametrize("command, flag", itertools.product(READS, FORMER_COMMON))
+    def test_flag_parses_only_where_it_is_read(self, command, flag, capsys):
+        argv = [command, *REQUIRED.get(command, ()), flag, FORMER_COMMON[flag]]
+        if flag in READS[command]:
+            assert parse_args(argv).command == command
+            return
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {FORMER_COMMON[flag]}" in err
+
+    def test_readme_cli_lines_parse(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        lines = [line for line in readme.splitlines() if line.startswith("ltoep ")]
+        commands = {parse_args(shlex.split(line)[1:]).command for line in lines}
+        assert commands == set(READS)
+
+    @pytest.mark.parametrize(
+        "argv, tolerance",
+        [
+            (("verify", "--identity", "unitary", "--lambda-im", "1"),
+             ltoeplitz.factorization.DEFAULT_UNITARY_TOL),
+            (("verify", "--identity", "wco-sum", "--lambda-re", "0.5"),
+             ltoeplitz.factorization.DEFAULT_WCO_SUM_TOL),
+            (("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.5"),
+             ltoeplitz.factorization.DEFAULT_TOEPLITZ_COMP_TOL),
+            (("spectrum", "--lambda-re", "0.5"), 1e-14),
+        ],
+        ids=["unitary", "wco-sum", "toeplitz-comp", "spectrum"],
+    )
+    def test_omitted_tol_is_the_library_default(self, argv, tolerance, analytic_path, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(*argv, "--symbol", analytic_path, "--sizes", "8", "--out", out) == 0
+        assert {r["tolerance"] for r in json.loads(out.read_text())} == {tolerance}
 
 
 class TestExitStatusContract:

@@ -302,8 +302,12 @@ def dense_toeplitz_comp_residuals(spec, n):
 
 
 def dense_spectrum_residual(w, n):
+    """Diagonal errors relative to the predicted points, absolute below the normal range."""
     diag = np.diagonal(build_weighted_comp(w, n).entries)
-    return _dense_max(diag, powers(w.multiplier, n) * w.weight.coefficient(0))
+    predicted = powers(w.multiplier, n) * w.weight.coefficient(0)
+    magnitude = np.abs(predicted)
+    scale = np.where(magnitude >= np.finfo(float).tiny, magnitude, 1.0)
+    return float(np.max(np.abs(diag - predicted) / scale))
 
 
 @given(

@@ -93,10 +93,11 @@ def test_truncation_matches_literal_five_by_five_pattern():
     assert np.max(np.abs(got - expected)) < 1e-15
 
 
-def test_default_dense_limit_is_8192():
+def test_default_dense_limit_is_8192(monkeypatch):
     from ltoeplitz import dense_size_limit
 
-    assert dense_size_limit(1024.0) == 8192
+    monkeypatch.delenv("LT_MEM_BUDGET_MB", raising=False)
+    assert dense_size_limit() == 8192
 
 
 class TestTruncate:
@@ -127,10 +128,11 @@ class TestTruncate:
             large = truncate(spec, 8).entries
             assert np.array_equal(small, large[:4, :4])
 
-    def test_memory_budget_rejection(self):
+    def test_memory_budget_rejection(self, monkeypatch):
         spec = _spec(0.5, {0: 1.0})
-        with pytest.raises(MemoryBudgetExceeded, match="budget"):
-            truncate(spec, 10_000, budget_mb=1.0)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        with pytest.raises(MemoryBudgetExceeded, match=r"budget 1 MB allows N <= 256"):
+            truncate(spec, 10_000)
 
     def test_memory_budget_env(self, monkeypatch):
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")

@@ -11,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(name, *args, **extra_env):
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
@@ -48,3 +48,10 @@ def test_hs_convergence_runs():
     proc = run_script("hs_convergence.py", "--sizes", "4,8")
     assert proc.returncode == 0, proc.stderr
     assert "closed form" in proc.stdout and "N=     8" in proc.stdout
+
+
+def test_hs_convergence_runs_past_the_dense_limit():
+    # 16 MB holds a dense N = 1024 matrix; the norms are summed band by band
+    proc = run_script("hs_convergence.py", "--sizes", "8,4096", LT_MEM_BUDGET_MB="16")
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("N=  4096") for line in proc.stdout.splitlines())

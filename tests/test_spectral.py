@@ -184,6 +184,15 @@ class TestCompressedAnalyze:
         (report,) = svd_study(spec, [48])
         assert np.array_equal(report.singular_values, dense)
 
+    @pytest.mark.parametrize(
+        "lam, n", [(cmath.exp(0.7j), 96), (0.5, 48), (0.5, 256)], ids=["unit", "small-n", "core"]
+    )
+    def test_frobenius_is_the_band_sum_with_or_without_a_core(self, lam, n):
+        spec = _spec(lam, {0: 1.0, 1: 0.7, -2: 0.4j})
+        assert (spectral._core(spec, n) is None) == (n < 256)
+        (report,) = svd_study(spec, [n])
+        assert report.frobenius_norm == spectral.frobenius_norm(spec, n)
+
     def test_dense_random_matrix_is_the_dense_svd(self):
         entries = RNG.standard_normal((80, 80)) + 1j * RNG.standard_normal((80, 80))
         op = TruncatedOperator(80, entries)
@@ -465,20 +474,33 @@ class TestWcoSpectrum:
         assert result.residual == 0.0
         assert result.passed
 
-    def test_perturbed_diagonal_still_fails(self, monkeypatch):
+    @staticmethod
+    def _patch_diagonal(monkeypatch, m, change):
+        """Let the check read band 0 with its entry m replaced by change(entry)."""
         bands = spectral._bands
 
-        def perturbed(*args):
+        def patched(*args):
             for d, band in bands(*args):
                 if d == 0:
                     band = band.copy()
-                    band[100] += 1e-12
+                    band[m] = change(band[m])
                 yield d, band
 
-        monkeypatch.setattr(spectral, "_bands", perturbed)
+        monkeypatch.setattr(spectral, "_bands", patched)
+
+    def test_perturbed_diagonal_still_fails(self, monkeypatch):
+        self._patch_diagonal(monkeypatch, 100, lambda entry: entry + 1e-12)
         w = WeightedCompositionSpec(FourierSymbol({0: 1.0, 1: 0.5}), 0.8)
         result = wco_spectrum_check(w, 3400)
         assert result.residual > result.tolerance
+        assert not result.passed
+
+    def test_error_in_a_tiny_entry_fails(self, monkeypatch):
+        # 0.8^200 is about 4e-20: doubling it moves the entry far less than 1e-14
+        self._patch_diagonal(monkeypatch, 200, lambda entry: 2 * entry)
+        w = WeightedCompositionSpec(FourierSymbol({0: 1.0, 1: 0.5}), 0.8)
+        result = wco_spectrum_check(w, 400)
+        assert result.residual == 1.0
         assert not result.passed
 
 
