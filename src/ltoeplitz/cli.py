@@ -307,7 +307,6 @@ def _cmd_norms(args: argparse.Namespace) -> int:
 def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
     size = _single_size(args)
     spec = _make_spec(args)
-    row, col = operator.truncation_borders(spec, size)
     if args.b_matrix_path:
         try:
             forcing = read_matrix_csv(args.b_matrix_path)
@@ -316,12 +315,16 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
         if forcing.shape != (size, size):
             raise CliInputError(f"--b-matrix must be {size}x{size}, got {forcing.shape}")
     else:
+        # the truncation it is compared with comes first: a size over the
+        # memory budget is refused before the solve allocates anything
+        truncated = operator.truncate(spec, size).entries
         forcing = np.zeros((size, size), dtype=complex)
+    row, col = operator.truncation_borders(spec, size)
     solved = operator.solve_recurrence(spec.lam, forcing, row, col)
     summary = f"solved recurrence at N={size}"
     payload = {"N": size}
     if not args.b_matrix_path:
-        diff = float(np.max(np.abs(solved - operator.truncate(spec, size).entries)))
+        diff = float(np.max(np.abs(solved - truncated)))
         summary += f", max diff vs truncate = {fmt_float(diff)}"
         payload["max_diff_vs_truncate"] = diff
     _write(args, lambda: {**payload, "entries": matrix_records(solved)},

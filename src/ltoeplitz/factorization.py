@@ -8,6 +8,7 @@ lambda-Toeplitz truncation is verified as an entrywise residual.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,11 +17,11 @@ import numpy as np
 from .operator import (
     LambdaToeplitzSpec,
     TruncatedOperator,
-    _banded,
     _bands,
     _checked_size,
     _unit_scaled,
     powers,
+    truncate,
 )
 from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
 
@@ -60,6 +61,8 @@ class WeightedCompositionSpec:
 
     def __post_init__(self):
         c = complex(self.multiplier)
+        if not cmath.isfinite(c):
+            raise ValueError(f"multiplier = {c!r} is not finite")
         if abs(c) > 1.0 + UNIT_CIRCLE_TOL:
             raise ValueError(f"|multiplier| = {abs(c)} lies outside the closed unit disc")
         negative = [n for n in self.weight.support if n < 0]
@@ -92,35 +95,19 @@ class VerificationResult:
 
 
 def build_diag_unitary(lam: complex, size: int) -> TruncatedOperator:
-    """diag(lambda^n); unitary exactly when |lambda| = 1."""
-    lam = complex(lam)
-    n = int(size)
-    tag = "" if is_unimodular(lam) else " [non-unitary]"
-    return TruncatedOperator(
-        size=n,
-        entries=np.diag(powers(lam, n)),
-        provenance=f"diag-unitary(lambda={lam!r}) N={n}{tag}",
-    )
+    """diag(lambda^n), the truncation of (lambda, 1); unitary exactly when |lambda| = 1."""
+    return truncate(LambdaToeplitzSpec(lam, FourierSymbol({0: 1.0})), size)
 
 
 def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
-    """Constant-diagonal matrix entry(n, m) = a_{n-m}."""
-    n = int(size)
-    return TruncatedOperator(
-        size=n,
-        entries=_banded(symbol, n, 1.0),
-        provenance=f"toeplitz(support={list(symbol.support)}) N={n}",
-    )
+    """Constant-diagonal matrix entry(n, m) = a_{n-m}, the truncation of (1, symbol)."""
+    return truncate(LambdaToeplitzSpec(1.0, symbol), size)
 
 
 def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOperator:
-    """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}."""
-    n = int(size)
-    return TruncatedOperator(
-        size=n,
-        entries=_banded(w.weight, n, w.multiplier),
-        provenance=f"weighted-comp(multiplier={w.multiplier!r}) N={n}",
-    )
+    """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}, the
+    truncation of (multiplier, weight)."""
+    return truncate(LambdaToeplitzSpec(w.multiplier, w.weight), size)
 
 
 # -- factorization checks ------------------------------------------------------

@@ -10,6 +10,7 @@ column a_n.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 import os
@@ -71,6 +72,8 @@ class LambdaToeplitzSpec:
 
     def __post_init__(self):
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lambda = {lam!r} is not finite")
         if abs(lam) > 1.0 + UNIT_CIRCLE_TOL:
             raise ValueError(f"|lambda| = {abs(lam)} lies outside the closed unit disc")
         object.__setattr__(self, "lam", lam)
@@ -155,25 +158,14 @@ def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[Fourie
     return FourierSymbol({d: a * scale for d, a in kept}), scale
 
 
-def _banded(symbol: FourierSymbol, size: int, base: complex) -> np.ndarray:
-    """N x N matrix with entry (i, j) = base^min(i, j) * a_{i-j}.
-
-    The form of every dense builder: lambda-Toeplitz (base lambda), classical
-    Toeplitz (base 1) and weighted composition (base c, analytic weight).
-    Only the stored bands are multiplied, so every other entry stays an exact
-    0j (a product 0j * p would turn into -0.0 wherever Re(p) < 0).
-    """
-    n = int(size)
-    out = np.zeros((n, n), dtype=complex)
-    flat = out.reshape(-1)
-    # band d starts at flat index d*N (d >= 0) or -d (d < 0), stride N + 1
-    for d, band in _bands(symbol, n, base):
-        flat[d * n if d >= 0 else -d :: n + 1][: band.size] = band
-    return out
-
-
 def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
-    """Dense N x N truncation; the leading principal block of every larger one."""
+    """Dense N x N truncation; the leading principal block of every larger one.
+
+    The one dense builder: the classical Toeplitz matrix is the truncation
+    for lambda = 1, diag(lambda^n) that of (lambda, 1), and W(psi, c) that of
+    (c, psi). Only the stored bands are written, so every other entry stays
+    an exact 0j (a product 0j * p would turn into -0.0 wherever Re(p) < 0).
+    """
     n = _checked_size(size)
     limit = dense_size_limit()
     if n > limit:
@@ -183,11 +175,12 @@ def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
             f"N={n} needs {needed:.1f} MB dense storage; "
             f"budget {budget:g} MB allows N <= {limit}"
         )
-    return TruncatedOperator(
-        size=n,
-        entries=_banded(spec.symbol, n, spec.lam),
-        provenance=f"truncate({spec.describe()}) N={n}",
-    )
+    entries = np.zeros((n, n), dtype=complex)
+    flat = entries.reshape(-1)
+    # band d starts at flat index d*N (d >= 0) or -d (d < 0), stride N + 1
+    for d, band in _bands(spec.symbol, n, spec.lam):
+        flat[d * n if d >= 0 else -d :: n + 1][: band.size] = band
+    return TruncatedOperator(n, entries, f"truncate({spec.describe()}) N={n}")
 
 
 def apply_naive(op: TruncatedOperator, x) -> np.ndarray:

@@ -26,7 +26,8 @@ operator attached to (lambda, phi):
   most 1e-13 * sigma_1. Its Krylov basis, not an N x N matrix, is charged
   against the memory budget, so these studies run past the dense limit.
   ``svd_study`` and ``finite_rank_study`` need every singular value and
-  take an SVD: of the core where it is smaller than T_N, of T_N otherwise.
+  take the SVD of ``_core``: the core where it is smaller than T_N, T_N
+  itself otherwise.
   ``analyze``, ``singular_values`` and ``operator_norm``, the tests'
   oracles, always take the plain dense SVD.
 * rank: lambda = 0 forces rank <= 2; one-sided symbols give exact
@@ -133,7 +134,10 @@ class SpectralReport:
 
 
 def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
-    """Singular values of matrix; a LAPACK failure names the truncation size."""
+    """Singular values of matrix; a non-finite entry or a LAPACK failure
+    names the truncation size."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"truncation N={size} has non-finite entries")
     try:
         return np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -142,8 +146,6 @@ def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
 
 def singular_values(op: TruncatedOperator) -> np.ndarray:
     """Dense SVD of every entry: the plain oracle."""
-    if not np.all(np.isfinite(op.entries)):
-        raise ValueError(f"truncation N={op.size} has non-finite entries")
     return _svdvals(op.entries, op.size)
 
 
@@ -292,8 +294,8 @@ def analyze(
     return _report(sing, float(np.linalg.norm(op.entries * scale)) / scale, lam, rank_tol)
 
 
-def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray | None:
-    """The SVD core of the N x N truncation, or None when |lambda| = 1 or
+def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
+    """The SVD core of the N x N truncation: T_N itself when |lambda| = 1 or
     the core is not smaller.
 
     T[M:, M:] is lambda^M T_{N-M}, of Frobenius norm at most
@@ -308,7 +310,7 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray | None:
     n = size
     grown = abs(spec.lam) * (1.0 + 4.0 * _EPS)
     if grown >= 1.0:
-        return None
+        return truncate(spec, n).entries
     scaled, _ = _unit_scaled(spec.symbol, n)
     analytic, coanalytic = scaled.analytic_part().l2_norm(), scaled.coanalytic_part().l2_norm()
     phi = math.hypot(analytic, coanalytic)
@@ -325,7 +327,7 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray | None:
     bands = [d for d, _ in spec.symbol.items() if -n < d < n] + [0]
     p, q = max(bands), -min(bands)
     if m + max(p, q) >= n:
-        return None
+        return truncate(spec, n).entries
     try:
         core = truncate(spec, m + max(p, q)).entries[: m + p, : m + q]
     except MemoryBudgetExceeded as exc:
@@ -347,16 +349,12 @@ def svd_study(
     spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[SpectralReport]:
     """One ``SpectralReport`` per size N, with ``frobenius_norm``: the
-    singular values of ``_core``, then exact zeros up to N, or without a
-    core those of the dense truncation."""
+    singular values of ``_core``, then exact zeros up to N."""
     reports = []
     for size in sizes:
         n = _checked_size(size)
         core = _core(spec, n)
-        if core is None:
-            sing = singular_values(truncate(spec, n))
-        else:
-            sing = np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
+        sing = np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
         reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
     return reports
 

@@ -646,6 +646,16 @@ class TestSolveRecurrence:
         shifted = solved[1:, 1:] - 0.4 * solved[:-1, :-1]
         assert np.max(np.abs(shifted - forcing[:-1, :-1])) < 1e-12
 
+    def test_budget_is_checked_before_the_solve(self, two_cos_path, monkeypatch, capsys):
+        def solve(*args):
+            raise AssertionError("solve_recurrence ran before the budget check")
+
+        monkeypatch.setattr(ltoeplitz.operator, "solve_recurrence", solve)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        code = run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "257")
+        assert code == 2
+        assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
+
     def test_forcing_shape_mismatch(self, two_cos_path, tmp_path):
         from ltoeplitz.output import matrix_csv_text
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ltoeplitz import (
     FourierSymbol,
     LambdaToeplitzSpec,
+    MemoryBudgetExceeded,
     WeightedCompositionSpec,
     build_diag_unitary,
     build_toeplitz,
@@ -50,8 +51,29 @@ class TestDiagUnitary:
             u = build_diag_unitary(cmath.exp(1j * phase), 32).entries
             assert np.max(np.abs(u @ u.conj().T - np.eye(32))) < 1e-14
 
-    def test_flagged_when_not_unimodular(self):
-        assert "non-unitary" in build_diag_unitary(0.5, 4).provenance
+    def test_rejects_lambda_outside_disc(self):
+        with pytest.raises(ValueError, match="disc"):
+            build_diag_unitary(2.0, 3)
+
+    def test_rejects_empty_size(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            build_diag_unitary(0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: build_diag_unitary(0.5, n),
+        lambda n: build_toeplitz(FourierSymbol({1: 1.0}), n),
+        lambda n: build_weighted_comp(WeightedCompositionSpec(FourierSymbol({0: 1.0}), 0.5), n),
+    ],
+    ids=["diag-unitary", "toeplitz", "weighted-comp"],
+)
+def test_builders_are_charged_against_the_budget(monkeypatch, build):
+    monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+    assert build(256).size == 256
+    with pytest.raises(MemoryBudgetExceeded, match=r"N=257 .* allows N <= 256"):
+        build(257)
 
 
 class TestBuildToeplitz:
@@ -99,6 +121,11 @@ class TestBuildWeightedComp:
     def test_rejects_large_multiplier(self):
         with pytest.raises(ValueError, match="disc"):
             WeightedCompositionSpec(FourierSymbol({0: 1.0}), 1.5)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_rejects_non_finite_multiplier(self, bad):
+        with pytest.raises(ValueError, match="multiplier"):
+            WeightedCompositionSpec(FourierSymbol({0: 1.0}), bad)
 
     def test_composition_semigroup(self):
         for lam, mu in ((0.5, 0.3j), (0.9, -0.7), (0.2 + 0.1j, 0.4 - 0.4j)):

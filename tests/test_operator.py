@@ -74,6 +74,11 @@ class TestSpecValidation:
     def test_accepts_rounded_circle_points(self):
         _spec(cmath.exp(1j * math.pi / 3), {0: 1.0})
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_rejects_non_finite_lambda(self, bad):
+        with pytest.raises(ValueError, match="lambda"):
+            _spec(bad, {0: 1.0, 1: 0.5})
+
 
 def test_truncation_matches_literal_five_by_five_pattern():
     # the full corner layout, transcribed cell by cell

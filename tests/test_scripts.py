@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts in ``scripts/``, each in its own process."""
+"""Smoke runs of the experiment scripts in ``scripts/`` and of README's library
+quickstart, each in its own process."""
 
 import csv
 import os
@@ -11,13 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, **extra_env):
+def run_python(*args, **extra_env):
+    """``python *args`` in a fresh process that imports the package from src/."""
     env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def run_script(name, *args, **extra_env):
+    return run_python(ROOT / "scripts" / name, *args, **extra_env)
 
 
 def read_rows(path):
@@ -55,3 +60,11 @@ def test_hs_convergence_runs_past_the_dense_limit():
     proc = run_script("hs_convergence.py", "--sizes", "8,4096", LT_MEM_BUDGET_MB="16")
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("N=  4096") for line in proc.stdout.splitlines())
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
