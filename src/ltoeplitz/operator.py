@@ -43,6 +43,7 @@ MEM_BUDGET_ENV = "LT_MEM_BUDGET_MB"
 DEFAULT_MEM_BUDGET_MB = 1024.0
 _BYTES_PER_ENTRY = 16  # complex128
 _MAX_EXP = int(np.finfo(float).maxexp) - 1  # largest power of two below the float max
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
 class MemoryBudgetExceeded(ValueError):
@@ -50,17 +51,26 @@ class MemoryBudgetExceeded(ValueError):
 
 
 def powers(base: complex, count: int) -> np.ndarray:
-    """[1, base, base^2, ...] by cumulative products.
+    """[1, base, base^2, ...] by cumulative products, exact 0 from the first
+    power of modulus below the smallest normal float (tiny) on.
 
     Consecutive powers differ by exactly one multiplication, which keeps the
     shift recurrence satisfied at rounding level along every diagonal band.
+    Left alone, the products for |base| < 1 sink through the subnormals and
+    settle on the smallest of them instead of 0. So the powers are U nonzero
+    ones, U within 1 of log(tiny) / log|base| (all of them for |base| = 1),
+    then exact zeros.
     """
     out = np.empty(int(count), dtype=complex)
     if out.size == 0:
         return out
     out[0] = 1.0
     out[1:] = complex(base)
-    return np.cumprod(out)
+    np.cumprod(out, out=out)
+    below = np.abs(out) < _TINY
+    if below.any():
+        out[below.argmax() :] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,42 +235,47 @@ def _convolve(hat: np.ndarray, signal: np.ndarray, length: int) -> np.ndarray:
     return np.fft.ifft(np.multiply(hat, spectrum, out=spectrum))
 
 
-def _prepared_matvec(lam: complex, index: np.ndarray, value: np.ndarray, n: int):
-    """Matvec against the N x N truncation with bands a_index = value, |index| < N.
+def _prepared_matvec(pows: np.ndarray, index: np.ndarray, value: np.ndarray, n: int):
+    """Matvec against the N x N truncation with bands a_index = value, |index| < N,
+    and lambda powers ``pows``, whose rows and columns from side = pows.size
+    on are zero.
 
-    The lower-triangular part convolves the analytic coefficients with the
-    lambda-scaled input; the strict upper part correlates the coanalytic
-    ones with the input and lambda-scales the output. The FFTs of both
-    coefficient halves are taken here, once.
+    Only the leading side x side block, the truncation at that size, is
+    applied; the rest of the output is 0. The lower-triangular part convolves
+    the analytic coefficients with the lambda-scaled input; the strict upper
+    part correlates the coanalytic ones with the input and lambda-scales the
+    output. The FFTs of both coefficient halves are taken here, once.
     """
-    pows = powers(lam, n)
+    side = pows.size
     plus, minus = index >= 0, index < 0
     plus_hat = minus_hat = None
     if plus.any():
         degree = int(index[plus].max())
         weights = np.zeros(degree + 1, dtype=complex)
         weights[index[plus]] = value[plus]
-        plus_len = _next_fast_len(degree + n)
+        plus_len = _next_fast_len(degree + side)
         plus_hat = np.fft.fft(weights, plus_len)
     if minus.any():
         depth = -int(index[minus].min())
         # reversed coanalytic coefficients: slot depth + d holds a_d (d < 0)
         reflected = np.zeros(depth, dtype=complex)
         reflected[depth + index[minus]] = value[minus]
-        minus_len = _next_fast_len(depth + n - 1)
+        minus_len = _next_fast_len(depth + side - 1)
         minus_hat = np.fft.fft(reflected, minus_len)
 
     def matvec(x) -> np.ndarray:
         vec = np.asarray(x, dtype=complex)
         if vec.shape != (n,):
             raise ValueError(f"vector shape {vec.shape} does not match truncation size {n}")
+        vec = vec[:side]
         out = np.zeros(n, dtype=complex)
+        block = out[:side]
         if plus_hat is not None:
-            out += _convolve(plus_hat, pows * vec, plus_len)[:n]
+            block += _convolve(plus_hat, pows * vec, plus_len)[:side]
         if minus_hat is not None:
-            shifted = np.zeros(n, dtype=complex)
-            shifted[: n - 1] = _convolve(minus_hat, vec, minus_len)[depth : depth + n - 1]
-            out += pows * shifted
+            shifted = np.zeros(side, dtype=complex)
+            shifted[: side - 1] = _convolve(minus_hat, vec, minus_len)[depth : depth + side - 1]
+            block += pows * shifted
         return out
 
     return matvec
@@ -269,33 +284,39 @@ def _prepared_matvec(lam: complex, index: np.ndarray, value: np.ndarray, n: int)
 def prepare(spec: LambdaToeplitzSpec, size: int):
     """``(matvec, rmatvec)`` against the N x N truncation and its adjoint.
 
-    The lambda powers and the FFTs of both coefficient halves are taken once,
-    so each product costs four FFTs of length about N + min(K, N) for symbol
-    support width K. Only the bands |d| < N reach the truncation. The adjoint
-    of the operator for (lambda, phi) is the operator for (conj lambda, phi*),
-    where phi* = ``symbol.conjugate()`` has coefficients conj(a_{-d}); its
-    FFTs are taken at the first ``rmatvec`` call, so ``apply_fast`` does not
-    pay for them.
+    Only the bands |d| < N reach the truncation; let K be their largest |d|.
+    With U nonzero ``powers`` of lambda, every entry with min(n, m) >= U is
+    an exact 0, so rows and columns from S = min(N, U + K) on are zero and
+    only the leading S x S block is applied (S = N for |lambda| = 1). The
+    lambda powers and the FFTs of both coefficient halves are taken once, so
+    each product costs four FFTs of length about S + K. The adjoint of the
+    operator for (lambda, phi) is the operator for (conj lambda, phi*), where
+    phi* = ``symbol.conjugate()`` has coefficients conj(a_{-d}); its FFTs are
+    taken at the first ``rmatvec`` call, so ``apply_fast`` does not pay for
+    them.
     """
     n = _checked_size(size)
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
     index = np.array([d for d, _ in bands], dtype=np.intp)
     value = np.array([a for _, a in bands], dtype=complex)
+    pows = powers(spec.lam, n)
+    pows = pows[: min(n, np.count_nonzero(pows) + int(np.abs(index).max(initial=0)))]
     adjoint = []
 
     def rmatvec(y) -> np.ndarray:
         if not adjoint:
-            adjoint.append(_prepared_matvec(spec.lam.conjugate(), -index, value.conj(), n))
+            # conj(lambda)^k is conj(lambda^k) bit for bit
+            adjoint.append(_prepared_matvec(pows.conj(), -index, value.conj(), n))
         return adjoint[0](y)
 
-    return _prepared_matvec(spec.lam, index, value, n), rmatvec
+    return _prepared_matvec(pows, index, value, n), rmatvec
 
 
 def apply_fast(spec: LambdaToeplitzSpec, x) -> np.ndarray:
     """Matvec against the N x N truncation without materializing it.
 
-    One call to ``prepare``; cost O((N + K) log(N + K)) for symbol support
-    width K.
+    One call to ``prepare``; cost O(N + (S + K) log(S + K)) with S and K
+    as there.
     """
     vec = np.asarray(x, dtype=complex)
     if vec.ndim != 1 or vec.size == 0:

@@ -48,6 +48,7 @@ from .operator import (
     LambdaToeplitzSpec,
     MemoryBudgetExceeded,
     TruncatedOperator,
+    _TINY,
     _bands,
     _checked_size,
     _unit_scale,
@@ -90,7 +91,6 @@ _KRYLOV_SEED = 11
 # and a decomposition at every one would cost more than the steps themselves.
 _CHECK_GROWTH = 1.15
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 class SpectralDecompositionError(RuntimeError):
@@ -425,9 +425,9 @@ def wco_spectrum_check(
     range, so an error in an entry of 0.8^200 is as visible as one in 1.0.
     For weight(0) != 0 and 0 < |multiplier| < 1 the predicted points must
     also be pairwise distinct (the tail of an infinite spectrum). Points
-    below the normal range are left out of that test: there the powers round
-    to a few subnormals or to 0.0, and equal points say nothing about the
-    truncation.
+    below the normal range are left out of that test: there ``powers`` gives
+    0.0 and a small weight(0) rounds to a few subnormals, and equal points
+    say nothing about the truncation.
     """
     n = _checked_size(size)
     # band 0 of W, the first band of an analytic weight if stored, else zeros

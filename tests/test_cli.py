@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -176,8 +177,10 @@ class TestBandwiseMemory:
             ("verify", "--identity", "unitary", "--lambda-im", "1"),
             ("verify", "--identity", "wco-sum", "--lambda-re", "0.8"),
             ("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.8"),
-            # 0.8^m underflows to 0 before m = 4096, and repeated points fail
+            # every predicted point of 0.99 is normal, so all must be distinct;
+            # 0.8^m is 0 from m = 3175 on, and those points are left out
             ("spectrum", "--lambda-re", "0.99"),
+            ("spectrum", "--lambda-re", "0.8"),
         ],
     )
     def test_checks_pass_far_past_the_dense_limit(self, tmp_path, budget_of_one_mb, args):
@@ -198,6 +201,30 @@ class TestBandwiseMemory:
     def test_build_still_names_the_budget(self, two_cos_path, budget_of_one_mb, capsys):
         assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4096") == 2
         assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
+
+
+class TestPastTheUnderflowCut:
+    """Truncations larger than U, where the powers of lambda are exact zeros."""
+
+    # powers of two: each product with a power of lambda is exact while it
+    # stays normal, and a normal power keeps it normal
+    COEFFS = {-1: 2.0, 0: 1.0, 1: 4.0j}
+
+    def test_truncate_has_no_subnormal_entry(self):
+        # 0.1^k leaves the normal range at k = 308
+        spec = LambdaToeplitzSpec(0.1, FourierSymbol(self.COEFFS))
+        parts = np.abs(truncate(spec, 320).entries.view(float))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+    def test_solve_recurrence_still_matches_truncate(self, tmp_path):
+        # both take the same products down to the normal range; below it the
+        # recurrence goes on into the subnormals, the truncation holds zeros
+        sym = tmp_path / "sym.json"
+        write_symbol_file(FourierSymbol(self.COEFFS), sym)
+        out = tmp_path / "solve.json"
+        assert run_cli("solve-recurrence", "--symbol", sym, "--lambda-re", "0.1",
+                       "--sizes", "320", "--out", out) == 0
+        assert json.loads(out.read_text())["max_diff_vs_truncate"] <= 1e-300
 
 
 class TestSpectralPastTheDenseLimit:
@@ -725,3 +752,37 @@ class TestDeterministicJson:
         data = json.loads(out.read_text())
         # closed form = sqrt(2)/sqrt(3/4) must round-trip through the 17-digit format
         assert data["closed_form"] == pytest.approx(math.sqrt(2.0) / math.sqrt(0.75), abs=1e-15)
+
+
+class TestEntryPoint:
+    """``python -m ltoeplitz`` and ``ltoep`` freeze the import heap; ``cli.main`` does not."""
+
+    def test_main_leaves_the_collector_alone(self, two_cos_path, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4",
+                       "--out", tmp_path / "b.json") == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_module_run_matches_main(self, two_cos_path, tmp_path, capsys, fmt):
+        args = ["build", "--symbol", two_cos_path, "--lambda-re", "0.6", "--sizes", "6",
+                "--format", fmt]
+        here, there = tmp_path / f"main.{fmt}", tmp_path / f"module.{fmt}"
+        code = main([*args, "--out", str(here)])
+        stdout = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "ltoeplitz", *args, "--out", str(there)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
+        assert there.read_bytes() == here.read_bytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script_target_is_callable(self):
+        import importlib
+        import tomllib
+
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, attr = scripts["ltoep"].partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

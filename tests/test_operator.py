@@ -30,6 +30,7 @@ from ltoeplitz.output import (
 from conftest import disc_lambdas, random_spec, symbols
 
 RNG = np.random.default_rng(1234)
+TINY = np.finfo(float).tiny
 
 
 def _spec(lam, coeffs):
@@ -160,6 +161,18 @@ class TestPowers:
     def test_zero_base_convention(self):
         assert list(powers(0.0, 3)) == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("lam, count", [(0.8, 4000), (0.6 + 0.6j, 32768)])
+    def test_underflow_gives_exact_zeros(self, lam, count):
+        p = powers(lam, count)
+        modulus = np.abs(p)
+        assert not np.any((modulus > 0) & (modulus < TINY))
+        cut = int(np.argmax(p == 0))
+        assert cut > 0 and np.all(p[cut:] == 0) and np.all(p[:cut] != 0)
+        # the first zero sits where |lambda|^k crosses the smallest normal float
+        assert abs(cut - math.log(TINY) / math.log(abs(lam))) <= 1
+        # up to the cut, each power is the one before times lambda, bit for bit
+        assert all(p[k + 1] == p[k] * lam for k in range(cut - 1))
+
 
 class TestApplyNaive:
     def test_diagonal_case(self):
@@ -257,6 +270,54 @@ class TestPrepare:
         y = RNG.standard_normal(32) + 1j * RNG.standard_normal(32)
         _, rmatvec = prepare(spec, 32)
         assert np.array_equal(rmatvec(y), apply_fast(adjoint, y))
+
+    def test_rows_past_the_cut_are_exact_zeros(self):
+        # the apply of the dense-io workload: N = 32768, only the first
+        # U + 5 rows can be nonzero
+        rng = np.random.default_rng(5)
+        lam, size = 0.6 + 0.6j, 32768
+        coeffs = {d: complex(*rng.standard_normal(2)) for d in range(-5, 6)}
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        y = apply_fast(_spec(lam, coeffs), x)
+        live = int(np.count_nonzero(powers(lam, size)))
+        assert live <= math.log(TINY) / math.log(abs(lam)) + 1
+        assert np.all(y[live + 5 :] == 0)
+        # band-sum oracle: y[r] = sum_d a_d lambda^min(r, r-d) x[r-d]
+        pw = np.array([lam**k for k in range(size)])
+        ref = np.zeros(size, dtype=complex)
+        for d, a in coeffs.items():
+            if d >= 0:
+                ref[d:] += a * pw[: size - d] * x[: size - d]
+            else:
+                ref[:d] += a * pw[:d] * x[-d:]
+        scale = sum(abs(a) for a in coeffs.values()) * np.max(np.abs(x))
+        assert np.max(np.abs(y - ref)) <= 1e-13 * scale
+
+    def test_adjoint_identity_on_the_leading_block(self):
+        # |lambda|^k leaves the normal range at k = 616, so only a 619 x 619
+        # block of the 800 x 800 truncation is applied
+        spec = _spec(0.3 - 0.1j, {-3: 1.0j, 0: 2.0, 1: -1.5 + 0.5j})
+        size = 800
+        assert np.count_nonzero(powers(spec.lam, size)) + 3 < size
+        matvec, rmatvec = prepare(spec, size)
+        x = RNG.standard_normal(size) + 1j * RNG.standard_normal(size)
+        y = RNG.standard_normal(size) + 1j * RNG.standard_normal(size)
+        norm1 = sum(abs(a) for _, a in spec.symbol.items())
+        scale = norm1 * size * np.max(np.abs(x)) * np.max(np.abs(y))
+        assert abs(np.vdot(y, matvec(x)) - np.vdot(rmatvec(y), x)) <= 1e-13 * scale
+        dense = truncate(spec, size).entries
+        assert np.max(np.abs(matvec(x) - dense @ x)) <= 1e-13 * norm1 * np.max(np.abs(x))
+
+    def test_zero_lambda_applies_a_block_of_side_one_plus_k(self):
+        spec = _spec(0.0, {-2: 1.0, 0: 0.5j, 3: -2.0})
+        x = RNG.standard_normal(20) + 1j * RNG.standard_normal(20)
+        y = apply_fast(spec, x)
+        # row 0 holds a_{-m}, column 0 holds a_n, everything else is 0
+        expected = np.zeros(20, dtype=complex)
+        expected[0] = 0.5j * x[0] + 1.0 * x[2]
+        expected[3] = -2.0 * x[0]
+        assert np.max(np.abs(y - expected)) <= 1e-15
+        assert np.all(y[4:] == 0)
 
     def test_rejects_wrong_length(self):
         matvec, rmatvec = prepare(_spec(0.5, {0: 1.0}), 4)

@@ -477,8 +477,8 @@ class TestWcoSpectrum:
         assert wco_spectrum_check(w, 16).passed
 
     def test_powers_below_the_normal_range_pass(self):
-        # 0.8^m leaves the normal range near m = 3175 and is 0.0 from about
-        # m = 3340, so the tail of predicted points is no longer distinct
+        # powers() sets 0.8^m to 0.0 from m = 3175 on, where it leaves the
+        # normal range, so the tail of predicted points is no longer distinct
         w = WeightedCompositionSpec(FourierSymbol({0: 1.0, 1: 0.5}), 0.8)
         result = wco_spectrum_check(w, 3400)
         assert result.residual == 0.0
