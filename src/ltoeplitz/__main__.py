@@ -1,6 +1,8 @@
 """One CLI run per process: ``python -m ltoeplitz`` and the ``ltoep`` script."""
 
+import atexit
 import gc
+import os
 import sys
 
 from .cli import main
@@ -10,12 +12,24 @@ def run() -> None:
     """Run ``cli.main`` on the command line and exit with its status.
 
     The import-time heap lives until the process ends, so it is frozen out
-    of the collector's reach first: the collections at interpreter shutdown
-    then skip it. ``cli.main`` itself never freezes, as one process may call
-    it many times.
+    of the collector's reach first. Once ``main`` has returned, the atexit
+    handlers run and stdout and stderr are flushed, in the interpreter's own
+    shutdown order; then the process ends without tearing down its modules
+    and heap, which the OS reclaims anyway. An exception or ``SystemExit``
+    out of ``main``, or a flush that fails (a closed pipe), takes the normal
+    exit instead. ``cli.main`` itself never freezes or exits, as one process
+    may call it many times.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

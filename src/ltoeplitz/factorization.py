@@ -19,6 +19,7 @@ from .operator import (
     TruncatedOperator,
     _bands,
     _checked_size,
+    _convolve,
     _unit_scaled,
     powers,
     truncate,
@@ -45,7 +46,6 @@ __all__ = [
 DEFAULT_UNITARY_TOL = 1e-12
 DEFAULT_WCO_SUM_TOL = 1e-14
 DEFAULT_TOEPLITZ_COMP_TOL = 1e-14
-_KERNEL_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -246,16 +246,14 @@ def verify_toeplitz_comp_factorization(
 # -- integral-operator kernels ---------------------------------------------------
 
 
-def _kernel_rows(spec: LambdaToeplitzSpec, grid_size: int):
-    """Row blocks of (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)).
+def _kernel_circulant(lam: complex, grid_size: int) -> np.ndarray:
+    """c_d = 1 / (1 - lambda omega^d), d = 0..M-1, omega = e^{2 pi i / M}.
 
-    The kernel of the operator on the M-point torus grid z_j = e^{2 pi i j / M},
-    _KERNEL_BLOCK_ROWS rows at a time in ascending j, so a caller needs memory
-    that grows like M, not M^2. Index j is the output variable, k the
-    integration variable. W(psi, c) is the operator of (c, psi), whose
-    phi_minus is 0.
+    On the grid z_j = omega^j, z_j conj(z_k) = omega^(j-k), so the operator's
+    kernel (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)) is
+    (phi_plus(z_j) + phi_minus(z_k)) c_{(j-k) mod M} (P. J. Davis, Circulant
+    Matrices, 1979). W(psi, c) is the operator of (c, psi): phi_minus = 0.
     """
-    lam = spec.lam
     if abs(lam) >= 1.0:
         raise ValueError(
             f"kernel requires |lambda| < 1 (|multiplier| < 1 for W), got {abs(lam)}"
@@ -263,26 +261,18 @@ def _kernel_rows(spec: LambdaToeplitzSpec, grid_size: int):
     m = int(grid_size)
     if m < 1:
         raise ValueError(f"kernel grid size M must be >= 1, got {m}")
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    lam_z, z_bar = lam * z, z.conj()
-    plus = spec.symbol.analytic_part().evaluate_on_grid(m)[:, np.newaxis]
-    coanalytic = spec.symbol.coanalytic_part()
-    # W(psi, c) has phi_minus = 0: a scalar keeps each numerator one column
-    # wide, where a row of zeros would cost an extra rows x M sum per block
-    minus = coanalytic.evaluate_on_grid(m) if coanalytic.support else 0.0
-    for start in range(0, m, _KERNEL_BLOCK_ROWS):
-        rows = slice(start, start + _KERNEL_BLOCK_ROWS)
-        block = np.outer(lam_z[rows], z_bar)
-        np.subtract(1.0, block, out=block)
-        np.divide(plus[rows] + minus, block, out=block)
-        yield block
+    return 1.0 / (1.0 - lam * np.exp(2j * np.pi * np.arange(m) / m))
 
 
 def quadrature_apply(spec: LambdaToeplitzSpec, samples) -> np.ndarray:
-    """Trapezoid-rule application (1/M) sum_k kernel(j, k) f(z_k), M = len(samples)."""
+    """Trapezoid-rule application (1/M) sum_k kernel(j, k) f(z_k), M = len(samples):
+    (phi_plus (c conv f) + c conv (phi_minus f)) / M, two cyclic convolutions."""
     f = np.asarray(samples, dtype=complex).ravel()
     m = f.size
-    return np.concatenate([block @ f / m for block in _kernel_rows(spec, m)])
+    c_hat = np.fft.fft(_kernel_circulant(spec.lam, m))
+    out = spec.symbol.analytic_part().evaluate_on_grid(m) * _convolve(c_hat, f, m)
+    out += _convolve(c_hat, spec.symbol.coanalytic_part().evaluate_on_grid(m) * f, m)
+    return out / m
 
 
 def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
@@ -290,14 +280,15 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
 
     For tau(z) = c z the exact value is l2_norm(weight) / sqrt(1 - |c|^2);
     the Frobenius norms of the matrix truncations increase to the same limit.
-    The kernel is formed from the weight scaled by a power of two, undone
-    at the end, so that its squares stay in the float range.
+    The grid sum of |kernel(j, k)|^2 = |psi(z_j)|^2 |c_{j-k}|^2 factors into
+    (sum_j |psi(z_j)|^2)(sum_d |c_d|^2), with the weight scaled by a power of
+    two, undone at the end, so that its squares stay in the float range.
     """
     weight, scale = _unit_scaled(w.weight)
-    total = 0.0
-    for block in _kernel_rows(LambdaToeplitzSpec(w.multiplier, weight), grid_size):
-        total += np.vdot(block, block).real
-    return math.sqrt(total) / int(grid_size) / scale
+    circulant = _kernel_circulant(w.multiplier, grid_size)
+    psi = weight.evaluate_on_grid(circulant.size)
+    total = np.vdot(psi, psi).real * np.vdot(circulant, circulant).real
+    return math.sqrt(total) / circulant.size / scale
 
 
 def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:

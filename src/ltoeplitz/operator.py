@@ -50,6 +50,18 @@ class MemoryBudgetExceeded(ValueError):
     """A dense truncation would not fit the configured memory budget."""
 
 
+def _cumulate(run: np.ndarray, base: complex) -> bool:
+    """run[k] = run[0] * base^k in place by cumulative products, exact 0 from
+    the first of modulus below tiny on; True if there is such a product."""
+    run[1:] = base
+    np.cumprod(run, out=run)
+    below = np.abs(run) < _TINY
+    if below.any():
+        run[below.argmax() :] = 0.0
+        return True
+    return False
+
+
 def powers(base: complex, count: int) -> np.ndarray:
     """[1, base, base^2, ...] by cumulative products, exact 0 from the first
     power of modulus below the smallest normal float (tiny) on.
@@ -58,18 +70,25 @@ def powers(base: complex, count: int) -> np.ndarray:
     shift recurrence satisfied at rounding level along every diagonal band.
     Left alone, the products for |base| < 1 sink through the subnormals and
     settle on the smallest of them instead of 0. So the powers are U nonzero
-    ones, U within 1 of log(tiny) / log|base| (all of them for |base| = 1),
-    then exact zeros.
+    ones, U within 1 of log(tiny) / log|base| (all of them for |base| >= 1),
+    then exact zeros. The products stop a step past that estimate, and go on
+    only if rounding kept every one of them above tiny.
     """
-    out = np.empty(int(count), dtype=complex)
+    out = np.zeros(int(count), dtype=complex)
     if out.size == 0:
         return out
+    base = complex(base)
+    modulus = abs(base)
+    if modulus >= 1.0:
+        stop = out.size
+    elif modulus == 0.0:
+        stop = 2
+    else:
+        stop = int(math.log(_TINY) / math.log(modulus)) + 2
     out[0] = 1.0
-    out[1:] = complex(base)
-    np.cumprod(out, out=out)
-    below = np.abs(out) < _TINY
-    if below.any():
-        out[below.argmax() :] = 0.0
+    head = out[:stop]
+    if not _cumulate(head, base) and head.size < out.size:
+        _cumulate(out[head.size - 1 :], base)
     return out
 
 
@@ -102,10 +121,17 @@ class TruncatedOperator:
 
 
 def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
-    """Closed-form matrix entry lambda^min(n,m) * a_{n-m} (0^0 = 1)."""
+    """Closed-form matrix entry lambda^min(n,m) * a_{n-m} (0^0 = 1).
+
+    A power of modulus below the smallest normal float counts as 0, as in
+    ``powers`` and ``truncate``.
+    """
     if n < 0 or m < 0:
         raise ValueError("matrix indices must be nonnegative")
-    return (spec.lam ** min(n, m)) * spec.symbol.coefficient(n - m)
+    power = spec.lam ** min(n, m)
+    if abs(power) < _TINY:
+        power = 0j
+    return power * spec.symbol.coefficient(n - m)
 
 
 def resolve_budget_mb() -> float:

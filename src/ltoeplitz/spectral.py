@@ -349,12 +349,18 @@ def svd_study(
     spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[SpectralReport]:
     """One ``SpectralReport`` per size N, with ``frobenius_norm``: the
-    singular values of ``_core``, then exact zeros up to N."""
-    reports = []
+    singular values of ``_core``, then exact zeros up to N.
+
+    T_N's leading block does not depend on N, so successive sizes often share
+    their core; a core equal to the previous one reuses its singular values.
+    """
+    reports, core, core_sing = [], None, None
     for size in sizes:
         n = _checked_size(size)
-        core = _core(spec, n)
-        sing = np.concatenate([_svdvals(core, n), np.zeros(n - min(core.shape))])
+        previous, core = core, _core(spec, n)
+        if previous is None or not np.array_equal(previous, core):
+            core_sing = _svdvals(core, n)
+        sing = np.concatenate([core_sing, np.zeros(n - min(core.shape))])
         reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
     return reports
 

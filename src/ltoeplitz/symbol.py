@@ -211,22 +211,33 @@ class FourierSymbol:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FourierSymbol":
+        """The symbol of ``{"coefficients": [{"n": ..., "re": ..., "im": ...}, ...]}``.
+
+        One walk over the entries parses each, checks that it is finite and
+        that its index is new, and stores it; zero values are dropped
+        afterwards, as ``__init__`` drops them.
+        """
+        coeffs: dict[int, complex] = {}
         try:
-            entries = data["coefficients"]
-            pairs = [
-                (int(e["n"]), complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))))
-                for e in entries
-            ]
+            for e in data["coefficients"]:
+                n, re, im = int(e["n"]), float(e.get("re", 0.0)), float(e.get("im", 0.0))
+                if n in coeffs or not (math.isfinite(re) and math.isfinite(im)):
+                    break
+                coeffs[n] = complex(re, im)
+            else:
+                symbol = cls()
+                symbol._coeffs = {n: v for n, v in coeffs.items() if v}
+                return symbol
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad symbol JSON: {exc}") from exc
-        for n, value in pairs:
-            for field, part in (("re", value.real), ("im", value.imag)):
-                if not math.isfinite(part):
-                    raise ValueError(
-                        f"bad symbol JSON: field {field!r} of coefficient n={n} "
-                        f"is not finite ({part!r})"
-                    )
-        return cls.from_coefficients(pairs)
+        # the entry that stopped the walk
+        for field, part in (("re", re), ("im", im)):
+            if not math.isfinite(part):
+                raise ValueError(
+                    f"bad symbol JSON: field {field!r} of coefficient n={n} "
+                    f"is not finite ({part!r})"
+                )
+        raise ValueError(f"duplicate coefficient index {n}")
 
 
 def sawtooth(bandlimit: int) -> FourierSymbol:

@@ -754,8 +754,29 @@ class TestDeterministicJson:
         assert data["closed_form"] == pytest.approx(math.sqrt(2.0) / math.sqrt(0.75), abs=1e-15)
 
 
+# The entry point with the interpreter's normal exit: the reference for the hard exit.
+TEARDOWN_ENTRY = (
+    "import gc, sys; from ltoeplitz.cli import main; gc.freeze(); sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _fresh(prefix, args, cwd, stdout=subprocess.PIPE, preexec_fn=None):
+    """``(exit status, stdout bytes, stderr bytes)`` of one CLI process in cwd,
+    with stdout block-buffered, so that what is left to flush at exit shows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]),
+               PYTHONUNBUFFERED="")
+    result = subprocess.run([sys.executable, *prefix, *map(str, args)], cwd=cwd, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn)
+    return result.returncode, result.stdout, result.stderr
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
 class TestEntryPoint:
-    """``python -m ltoeplitz`` and ``ltoep`` freeze the import heap; ``cli.main`` does not."""
+    """``python -m ltoeplitz`` and ``ltoep`` freeze the import heap and end
+    without interpreter teardown; ``cli.main`` does neither."""
 
     def test_main_leaves_the_collector_alone(self, two_cos_path, tmp_path):
         before = gc.get_freeze_count()
@@ -777,6 +798,91 @@ class TestEntryPoint:
         )
         assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
         assert there.read_bytes() == here.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            pytest.param(["build", "--symbol", "sym.json", "--lambda-re", "0.6", "--sizes", "5"],
+                         0, id="build-json-stdout"),
+            pytest.param(["build", "--symbol", "sym.json", "--lambda-re", "0.6", "--sizes", "5",
+                          "--format", "csv"], 0, id="build-csv-stdout"),
+            pytest.param(["sawtooth-demo", "--sizes", "64,1024", "--out", "saw.json"], 1,
+                         id="sawtooth-exit-1"),
+            # argparse's SystemExit(2), and main's return value 2
+            pytest.param(["build", "--symbol", "sym.json", "--bogus"], 2, id="bad-flag"),
+            pytest.param(["build", "--symbol", "missing.json"], 2, id="bad-symbol"),
+        ],
+    )
+    def test_hard_exit_matches_normal_exit(self, args, status, tmp_path):
+        runs = {}
+        for name, prefix in (("hard", ["-m", "ltoeplitz"]), ("normal", ["-c", TEARDOWN_ENTRY])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            write_symbol_file(FourierSymbol({-1: 0.5 + 0.1j, 0: 1.0, 2: 0.25}), cwd / "sym.json")
+            runs[name] = (*_fresh(prefix, args, cwd), _files(cwd))
+        assert runs["hard"] == runs["normal"]
+        code, stdout, stderr, files = runs["hard"]
+        assert code == status
+        assert (stdout == b"") == (status == 2)
+        assert (b"error:" in stderr) == (status == 2)
+        assert ("saw.json" in files) == (args[0] == "sawtooth-demo")
+
+    def test_closed_pipe_takes_the_normal_exit(self, tmp_path):
+        # output still buffered when main returns, to a pipe nobody reads:
+        # the failed flush must end the process as the normal exit does
+        args = ["svd", "--symbol", "sym.json", "--lambda-re", "0.6", "--sizes", "3",
+                "--out", "svd.json"]
+        runs = {}
+        for name, prefix in (("hard", ["-m", "ltoeplitz"]), ("normal", ["-c", TEARDOWN_ENTRY])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            write_symbol_file(FourierSymbol({0: 1.0, 1: 0.5}), cwd / "sym.json")
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                runs[name] = _fresh(prefix, args, cwd, stdout=write_end)
+            finally:
+                os.close(write_end)
+        assert runs["hard"] == runs["normal"]
+        code, _, stderr = runs["hard"]
+        assert code == 120 and b"BrokenPipeError" in stderr
+
+    def test_closed_stdout_still_writes_the_file(self, tmp_path):
+        # with fd 1 closed at start sys.stdout is None, which --out never needs
+        args = ["build", "--symbol", "sym.json", "--sizes", "3", "--out", "b.json"]
+        runs = {}
+        for name, prefix in (("hard", ["-m", "ltoeplitz"]), ("normal", ["-c", TEARDOWN_ENTRY])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            write_symbol_file(FourierSymbol({0: 1.0, 1: 0.5}), cwd / "sym.json")
+            runs[name] = (*_fresh(prefix, args, cwd, preexec_fn=lambda: os.close(1)),
+                          _files(cwd))
+        assert runs["hard"] == runs["normal"]
+        assert runs["hard"][:3] == (0, b"", b"") and "b.json" in runs["hard"][3]
+
+    def test_atexit_handler_still_runs(self, tmp_path):
+        write_symbol_file(FourierSymbol({0: 1.0}), tmp_path / "sym.json")
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'handler ran')\n"
+            "sys.argv = ['ltoep', 'build', '--symbol', 'sym.json', '--sizes', '2']\n"
+            "runpy.run_module('ltoeplitz', run_name='__main__', alter_sys=True)\n"
+            "print('not reached')\n"
+        )
+        status, stdout, stderr = _fresh(["-c", code], [], tmp_path)
+        assert (status, stderr) == (0, b"")
+        assert stdout.endswith(b"handler ran\n") and b"not reached" not in stdout
+
+    def test_main_returns_in_process(self, two_cos_path, tmp_path, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("cli.main must not end the process or freeze the heap")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        monkeypatch.setattr(gc, "freeze", refuse)
+        codes = [run_cli("build", "--symbol", two_cos_path, "--sizes", "3",
+                         "--out", tmp_path / "b.json"),
+                 run_cli("build", "--symbol", tmp_path / "missing.json")]
+        assert codes == [0, 2]
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
     def test_console_script_target_is_callable(self):

@@ -379,7 +379,7 @@ def closed_kernel(spec, m):
     """M x M kernel (phi_plus(z_j) + phi_minus(z_k)) / (1 - lambda z_j conj(z_k)).
 
     Built from direct sums a_n z^n on the grid z_j = e^{2 pi i j / M}, as the
-    oracle for the row-blocked kernel functions.
+    oracle for the circulant kernel functions.
     """
     z = np.exp(2j * np.pi * np.arange(m) / m)
     plus = np.zeros(m, dtype=complex) + sum(a * z**n for n, a in spec.symbol.items() if n >= 0)
@@ -427,7 +427,6 @@ class TestKernelGrids:
 
     @pytest.mark.parametrize("grid_size", [1, 127, 129, 300])
     def test_blocked_apply_matches_full_kernel(self, grid_size):
-        # 127, 129 and 300 leave a partial last block of rows
         rng = np.random.default_rng(grid_size)
         spec = LambdaToeplitzSpec(0.7 * cmath.exp(-1.1j), random_symbol(rng))
         f = rng.standard_normal(grid_size) + 1j * rng.standard_normal(grid_size)
@@ -437,14 +436,14 @@ class TestKernelGrids:
         assert np.max(np.abs(applied - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_apply_memory_grows_like_m(self):
-        # a 4096 x 4096 complex kernel would need 256 MiB
+        # a 65536 x 65536 complex kernel would need 64 GiB
         spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0, -1: 1.0}))
-        applied, peak = peak_traced_mb(quadrature_apply, spec, np.ones(4096))
+        applied, peak = peak_traced_mb(quadrature_apply, spec, np.ones(65536))
         # the operator of (lambda, 1 + conj(z)) maps 1 to 1; the rule adds
         # only aliased terms of order lambda^(M-1)
         assert np.max(np.abs(applied - 1.0)) < 1e-12
-        # about three 128-row blocks of 8 MiB live at once
-        assert peak < 32.0
+        # a few length-M arrays of 1 MiB (c, its FFT, the convolutions) live at once
+        assert peak < 8.0
 
     def test_rejects_boundary_lambda(self):
         spec = LambdaToeplitzSpec(1.0, FourierSymbol({0: 1.0}))
@@ -460,6 +459,40 @@ class TestKernelGrids:
         spec = LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0}))
         with pytest.raises(ValueError, match="M must be >= 1"):
             quadrature_apply(spec, [])
+
+
+CIRCULANT_GRIDS = [1, 2, 7, 127, 129, 257, 300, 1000]
+KERNEL_MODULI = [0.0, 0.3, 0.95]
+
+
+class TestCirculantKernel:
+    """Both kernel functions against the explicit M x M kernel, over grid
+    sizes odd, even, prime and composite and |lambda| up to 0.95."""
+
+    @pytest.mark.parametrize("modulus", KERNEL_MODULI)
+    @pytest.mark.parametrize("grid_size", CIRCULANT_GRIDS)
+    def test_apply_matches_explicit_kernel(self, grid_size, modulus):
+        rng = np.random.default_rng(grid_size)
+        # analytic and coanalytic parts, one of them past the grid for small M
+        phi = FourierSymbol(
+            {n: complex(*rng.standard_normal(2)) for n in (-9, -2, -1, 0, 1, 4)}
+        )
+        spec = LambdaToeplitzSpec(modulus * cmath.exp(2.1j), phi)
+        f = rng.standard_normal(grid_size) + 1j * rng.standard_normal(grid_size)
+        expected = closed_kernel(spec, grid_size) @ f / grid_size
+        applied = quadrature_apply(spec, f)
+        assert applied.shape == (grid_size,)
+        assert np.max(np.abs(applied - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("modulus", KERNEL_MODULI)
+    @pytest.mark.parametrize("grid_size", CIRCULANT_GRIDS)
+    def test_hs_norm_matches_explicit_kernel(self, grid_size, modulus):
+        rng = np.random.default_rng(grid_size)
+        psi = FourierSymbol({n: complex(*rng.standard_normal(2)) for n in (0, 1, 3, 8)})
+        w = WeightedCompositionSpec(psi, modulus * cmath.exp(-0.7j))
+        kernel = closed_kernel(LambdaToeplitzSpec(w.multiplier, psi), grid_size)
+        full = math.sqrt(np.mean(np.abs(kernel) ** 2))
+        assert kernel_hs_norm(w, grid_size) == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 class TestKernelHsNorm:
@@ -498,7 +531,8 @@ class TestKernelHsNorm:
 
     @pytest.mark.parametrize("grid_size", [1, 7, 64, 127, 129, 300, 1000])
     def test_blocked_sum_matches_full_grid(self, grid_size):
-        # the kernel of W(psi, c) for tau(z) = c z is psi(z_j) / (1 - c z_j conj(z_k))
+        # the kernel of W(psi, c) for tau(z) = c z is psi(z_j) / (1 - c z_j conj(z_k)),
+        # summed here over the whole M x M grid
         rng = np.random.default_rng(grid_size)
         w = WeightedCompositionSpec(random_symbol(rng, analytic=True), 0.7 * cmath.exp(0.3j))
         z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)

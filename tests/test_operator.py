@@ -66,6 +66,13 @@ class TestEntry:
         with pytest.raises(ValueError):
             entry(_spec(0.5, {0: 1.0}), -1, 0)
 
+    def test_power_below_the_normal_range_is_zero(self):
+        # 0.8^3300 is subnormal; powers and truncate give an exact 0 there
+        spec = _spec(0.8, {0: 1.0})
+        assert entry(spec, 3300, 3300) == 0
+        assert entry(spec, 3300, 3300) == powers(0.8, 3301)[3300]
+        assert entry(spec, 3000, 3000) == pytest.approx(0.8**3000, rel=1e-12)
+
 
 class TestSpecValidation:
     def test_rejects_lambda_outside_disc(self):
@@ -172,6 +179,37 @@ class TestPowers:
         assert abs(cut - math.log(TINY) / math.log(abs(lam))) <= 1
         # up to the cut, each power is the one before times lambda, bit for bit
         assert all(p[k + 1] == p[k] * lam for k in range(cut - 1))
+
+    @pytest.mark.parametrize("lam", [0.8, 0.6 + 0.6j, 1j, -1.0, 0.0, 0.999])
+    def test_stopped_products_match_the_full_cumprod(self, lam):
+        def full(count):
+            # every product, then zeros from the first one below tiny
+            out = np.empty(count, dtype=complex)
+            if count:
+                out[0] = 1.0
+                out[1:] = lam
+                np.cumprod(out, out=out)
+                below = np.abs(out) < TINY
+                if below.any():
+                    out[below.argmax():] = 0.0
+            return out
+
+        reference = full(720_000)
+        cut = int(np.count_nonzero(reference))
+        for count in {0, 1, 2, 3, 100, cut - 2, cut - 1, cut, cut + 1, cut + 2, cut + 50}:
+            if count >= 0:
+                assert powers(lam, count).tobytes() == full(count).tobytes(), count
+        assert powers(lam, reference.size).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.8, 0.6 + 0.6j])
+    def test_products_carry_on_past_a_short_estimate(self, monkeypatch, lam):
+        # the cut read off logarithms could fall short of the products'
+        # own; a quarter of it must still give every power, bit for bit
+        reference = powers(lam, 5000)
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: log(x) * (4.0 if x == abs(lam) else 1.0))
+        for count in (100, 2000, 5000):
+            assert powers(lam, count).tobytes() == reference[:count].tobytes()
 
 
 class TestApplyNaive:

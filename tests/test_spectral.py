@@ -163,11 +163,30 @@ class TestCompressedAnalyze:
     def test_core_does_not_depend_on_n(self, monkeypatch):
         coeffs = {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)}
         spec = _spec(0.8, coeffs)
+        assert all(np.array_equal(spectral._core(spec, n), spectral._core(spec, 256))
+                   for n in (1024, 4096))
         cores = _svd_spy(monkeypatch)
         reports = svd_study(spec, [256, 1024, 4096])
-        assert all(np.array_equal(core, cores[0]) for core in cores)
+        # one core for three sizes: decomposed once
+        assert [core.shape for core in cores] == [(171, 171)]
         assert all(np.array_equal(r.singular_values[:171], reports[0].singular_values[:171])
                    for r in reports)
+
+    @pytest.mark.parametrize(
+        "lam, sizes, svds",
+        [(0.8, [32, 256, 512], 2), (cmath.exp(0.7j), [32, 64], 2), (0.8, [256, 512], 1)],
+        ids=["small-n-then-core", "unit", "shared-core"],
+    )
+    def test_sizes_studied_together_match_each_alone(self, monkeypatch, lam, sizes, svds):
+        spec = _spec(lam, {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)})
+        alone = [svd_study(spec, [n])[0] for n in sizes]
+        cores = _svd_spy(monkeypatch)
+        together = svd_study(spec, sizes)
+        assert len(cores) == svds
+        for a, b in zip(alone, together):
+            assert a.size == b.size and a.frobenius_norm == b.frobenius_norm
+            assert a.singular_values.tobytes() == b.singular_values.tobytes()
+            assert a.decay_margins.tobytes() == b.decay_margins.tobytes()
 
     def test_unit_lambda_is_the_dense_svd(self):
         spec = _spec(cmath.exp(0.7j), {0: 1.0, 1: 0.7, -2: 0.4j})

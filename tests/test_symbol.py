@@ -266,6 +266,39 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             FourierSymbol.from_json_dict({"coefficients": [{"re": 1.0}]})
 
+    def test_one_walk_keeps_the_constructor_semantics(self):
+        entries = [{"n": 4, "re": 0.5}, {"n": -3, "im": -2.0}, {"n": 0, "re": 0.0, "im": -0.0},
+                   {"n": 7.0, "re": 1, "im": 2}]
+        phi = FourierSymbol.from_json_dict({"coefficients": entries})
+        pairs = [(e["n"], complex(e.get("re", 0.0), e.get("im", 0.0))) for e in entries]
+        assert phi == FourierSymbol.from_coefficients(pairs)
+        assert phi.support == (-3, 4, 7)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({}, "bad symbol JSON: 'coefficients'"),
+            ({"coefficients": [{"n": 0}, {"re": 1.0}]}, "bad symbol JSON: 'n'"),
+            ({"coefficients": [{"n": 0, "re": "x"}]},
+             "bad symbol JSON: could not convert string to float: 'x'"),
+            ({"coefficients": [{"n": 0, "re": 1.0}, {"n": 2, "re": math.nan}]},
+             "bad symbol JSON: field 're' of coefficient n=2 is not finite (nan)"),
+            ({"coefficients": [{"n": 1, "re": 1.0, "im": -math.inf}]},
+             "bad symbol JSON: field 'im' of coefficient n=1 is not finite (-inf)"),
+            ({"coefficients": [{"n": 1, "re": 1.0}, {"n": 2}, {"n": 1, "im": 3.0}]},
+             "duplicate coefficient index 1"),
+            # a zero value is dropped, but its index still counts
+            ({"coefficients": [{"n": 1, "re": 0.0}, {"n": 1, "re": 2.0}]},
+             "duplicate coefficient index 1"),
+        ],
+        ids=["no-coefficients", "no-index", "bad-float", "nan-re", "inf-im", "duplicate",
+             "duplicate-of-zero"],
+    )
+    def test_each_fault_keeps_its_message(self, data, message):
+        with pytest.raises(ValueError) as info:
+            FourierSymbol.from_json_dict(data)
+        assert str(info.value) == message
+
 
 def test_is_unimodular_tolerance():
     assert is_unimodular(cmath.exp(1j * math.pi / 3))
