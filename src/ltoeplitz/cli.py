@@ -26,8 +26,8 @@ from . import factorization, operator, spectral
 from . import symbol as symbol_mod
 from .output import (
     csv_text,
-    dumps_json,
     fmt_float,
+    json_chunks,
     matrix_csv_text,
     matrix_records,
     read_matrix_csv,
@@ -126,6 +126,13 @@ def _validate(args: argparse.Namespace) -> None:
         raise CliInputError("--rank-tol must lie in (0, 1)")
     if getattr(args, "grid_size", 1) < 1:
         raise CliInputError("--grid-size must be at least 1")
+    if getattr(args, "wco", "grid_size" in args):  # norms and hsnorm --wco make the grid
+        budget, grid_mb = operator.resolve_budget_mb(), args.grid_size * 16 / 2**20
+        if grid_mb > budget:
+            raise CliInputError(
+                f"--grid-size {args.grid_size} needs {grid_mb:.1f} MB for one complex grid; "
+                f"budget {budget:g} MB ({operator.MEM_BUDGET_ENV})"
+            )
     lam = getattr(args, "lam", 0.0)
     if not cmath.isfinite(lam):
         raise CliInputError("--lambda-re and --lambda-im must be finite")
@@ -157,14 +164,15 @@ def _single_size(args: argparse.Namespace) -> int:
 
 
 def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
-    """Render only the format ``--format`` names: ``dumps_json(payload())``
-    or ``csv()``. Write it to ``--out``, printing ``summary``, or to stdout.
+    """Render only the format ``--format`` names: the JSON of ``payload()``,
+    written chunk by chunk as it is formatted, or ``csv()``. Write it to
+    ``--out``, printing ``summary``, or to stdout.
 
     ``csv()`` may give one table per size, ``{N: text}``: stdout gets them
     one after another, a blank line apart, and ``--out`` one file per size
     (``<stem>_N<size><suffix>``) when there is more than one.
     """
-    text = dumps_json(payload()) if args.fmt == "json" else csv()
+    text = json_chunks(payload()) if args.fmt == "json" else csv()
     if isinstance(text, dict) and args.output_path is not None and len(text) > 1:
         out = Path(args.output_path)
         for size, table in text.items():

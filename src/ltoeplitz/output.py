@@ -10,8 +10,7 @@ import json
 import math
 import sys
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,79 +27,109 @@ def _finite(value: float) -> float:
     return value
 
 
-class Records:
-    """Equal-length named 1-D integer or float columns, one record per row.
+_LAZY = "\x00"  # a Records in rendered JSON, where json.dumps escapes this character
+_ROW, _COL = "\x01", "\x02"  # the row and column parts of the index in a record's cells
+_RUN = 1000  # vector records per chunk: k = 1000 q + j is str(q), then j in three digits
 
-    The writers format every row with one %-template, ``%d`` for an integer
-    column and ``%.17g`` for a float column (the bytes of ``fmt_float`` for
-    every finite float). A non-finite float raises ``ValueError`` naming the
-    column and the first bad row, so neither JSON nor CSV can hold one.
-    ``dumps_json`` writes a ``Records`` as the list of objects with sorted
-    keys that it writes for the equivalent list of dicts.
+
+class Records:
+    """The records of a complex vector or matrix, one per entry in row-major
+    order: its index fields (``k``, or ``n`` and ``m``), ``re`` and ``im``.
+
+    A non-finite part raises ``ValueError`` naming the column and the
+    record's row, so neither JSON nor CSV can hold one; nothing is formatted
+    before ``chunks`` is iterated. ``dumps_json`` writes a ``Records`` as the
+    list of objects with sorted keys that it writes for the equivalent list
+    of dicts.
     """
 
-    def __init__(self, columns: Mapping[str, np.ndarray]):
-        self.columns = {name: np.asarray(col) for name, col in columns.items()}
-        shapes = {col.shape for col in self.columns.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-            raise ValueError("records need equal-length 1-D columns")
-        self.size = next(iter(shapes))[0]
-        self.codes = {}
-        for name, col in self.columns.items():
-            if col.dtype.kind in "iu":
-                self.codes[name] = "%d"
-            elif col.dtype.kind == "f":
-                bad = np.flatnonzero(~np.isfinite(col))
-                if bad.size:
-                    raise ValueError(
-                        f"cannot write the non-finite number {float(col[bad[0]])!r} "
-                        f"in column {name!r}, row {bad[0]}"
-                    )
-                self.codes[name] = "%.17g"
-            else:
-                raise TypeError(f"column {name!r} has unsupported dtype {col.dtype}")
+    def __init__(self, values: np.ndarray, index: tuple[str, ...]):
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.ndim != len(index) or len(index) not in (1, 2):
+            raise ValueError("records need one index field per axis of a vector or matrix")
+        self.fields = (*index, "re", "im")
+        self.size = self.values.size
+        for name, part in (("re", self.values.real), ("im", self.values.imag)):
+            bad = np.flatnonzero(~np.isfinite(part))
+            if bad.size:
+                raise ValueError(
+                    f"cannot write the non-finite number {float(part.flat[bad[0]])!r} "
+                    f"in column {name!r}, row {bad[0]}"
+                )
 
-    def rows(self, template: str, names: Sequence[str], sep: str) -> str:
-        """Every row through ``template``, whose fields take the ``names`` columns in order."""
-        flat = chain.from_iterable(zip(*(self.columns[name].tolist() for name in names)))
-        return sep.join([template] * self.size) % tuple(flat)
+    def chunks(self, level: int | None = None) -> Iterator[str]:
+        """The CSV table, or the JSON list at indent ``level``, one matrix
+        row or ``_RUN`` vector records per chunk.
+
+        Each column has a zero cell, the constant text of a record whose re
+        and im are both +0.0 (told by the sign bit: ``%.17g`` writes -0.0 as
+        ``-0``), and a cell template that takes re and im through ``%.17g``.
+        A row formats only its other records, one template each, or, where
+        they are the majority, fills one template for the whole row. Cells
+        hold the column part of the index, ``m`` or the last three digits of
+        ``k``. The row part, ``n`` or the rest of ``k``, goes in the separator
+        where it starts the record (CSV), else in the cells as ``_ROW``,
+        replaced in each row's text.
+        """
+        values = self.values
+        if level is None:
+            names, sep, record = self.fields, "\n", ",".join
+            head, tail = ",".join(names) + ("\n" if self.size else ""), "\n"
+        else:
+            inner = "  " * (level + 1)
+            names, sep = sorted(self.fields), ",\n"
+            keys = [f'{inner}  "{name}": ' for name in names]
+            record = lambda texts: f"{inner}{{\n" + ",\n".join(map(str.__add__, keys, texts)) + f"\n{inner}}}"
+            head, tail = ("[\n", "\n" + "  " * level + "]") if self.size else ("[", "]")
+        yield head
+        formatted = (values != 0) | np.signbit(values.real) | np.signbit(values.imag)
+        lead = names[0] in ("n", "k")  # the row part starts each record: it goes in the separator
+        mark = "" if lead else _ROW
+        if values.ndim == 2:
+            index, rows = {"n": mark, "m": _COL}, zip(values, formatted)
+        else:
+            index = {"k": mark + _COL}
+            rows = ((values[i : i + _RUN], formatted[i : i + _RUN]) for i in range(0, self.size, _RUN))
+        parts = [{"re": "real", "im": "imag"}[name] for name in names if name in ("re", "im")]
+        cells = {}
+        for q, (row, mask) in enumerate(rows):
+            digits = len(str(_RUN)) - 1 if q and values.ndim == 1 else 0
+            if (digits, row.size) not in cells:
+                halves = [record([{**index, "re": p, "im": p}[name] for name in names]).split(_COL)
+                          for p in ("0", "%.17g")]
+                col = [str(j).zfill(digits) for j in range(row.size)]
+                cells[digits, row.size] = [[a + c + b for c in col] for a, b in halves]
+            zero, full = cells[digits, row.size]
+            n = str(q) if digits or values.ndim == 2 else ""
+            joiner = sep + n if lead else sep
+            picked = np.flatnonzero(mask)
+            flat = np.column_stack([getattr(row[picked], p) for p in parts]).ravel().tolist()
+            if 2 * picked.size > row.size:
+                chosen = full.copy()
+                for j in np.flatnonzero(~mask).tolist():
+                    chosen[j] = zero[j]
+                text = joiner.join(chosen) % tuple(flat)
+            else:
+                chosen = zero.copy()
+                for j, x, y in zip(picked.tolist(), flat[::2], flat[1::2]):
+                    chosen[j] = full[j] % (x, y)
+                text = joiner.join(chosen)
+            yield (sep if q else "") + (n if lead else "")
+            yield text if lead else text.replace(_ROW, n)
+        yield tail
 
 
 def matrix_records(entries: np.ndarray) -> Records:
     """Row-major records ``n, m, re, im`` of a complex matrix."""
-    n_rows, n_cols = entries.shape
-    return Records({
-        "n": np.repeat(np.arange(n_rows), n_cols),
-        "m": np.tile(np.arange(n_cols), n_rows),
-        "re": entries.real.ravel(),
-        "im": entries.imag.ravel(),
-    })
+    return Records(entries, ("n", "m"))
 
 
 def vector_records(values: np.ndarray) -> Records:
     """Records ``k, re, im`` of a complex vector."""
-    return Records({"k": np.arange(values.size), "re": values.real, "im": values.imag})
+    return Records(values, ("k",))
 
 
-def _records_json(records: Records, level: int) -> str:
-    if not records.size:
-        return "[]"
-    inner = "  " * (level + 1)
-    keys = sorted(records.columns)
-    fields = ",\n".join(
-        f"{inner}  {json.dumps(str(key))}: ".replace("%", "%%") + records.codes[key] for key in keys
-    )
-    body = records.rows(f"{inner}{{\n{fields}\n{inner}}}", keys, ",\n")
-    return "[\n" + body + "\n" + "  " * level + "]"
-
-
-def _records_csv(records: Records) -> str:
-    names = list(records.columns)
-    template = "\n" + ",".join(records.codes[name] for name in names)
-    return ",".join(names) + records.rows(template, names, "") + "\n"
-
-
-def _render_json(obj, level: int) -> str:
+def _render_json(obj, level: int, lazy: list) -> str:
     pad = "  " * level
     inner = "  " * (level + 1)
     if obj is None:
@@ -114,52 +143,53 @@ def _render_json(obj, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt_float(_finite(obj))
     if isinstance(obj, Records):
-        return _records_json(obj, level)
+        lazy.append(obj.chunks(level))
+        return _LAZY
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: {_render_json(obj[key], level + 1)}"
+            f"{inner}{json.dumps(str(key))}: {_render_json(obj[key], level + 1, lazy)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        parts = [f"{inner}{_render_json(item, level + 1)}" for item in obj]
+        parts = [f"{inner}{_render_json(item, level + 1, lazy)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def json_chunks(obj) -> Iterator[str]:
+    """The text of ``dumps_json(obj)`` in chunks. Everything but the records
+    is rendered, and every value checked, before this returns; the records
+    are formatted as the chunks are taken."""
+    lazy: list = []
+    head, *tails = (_render_json(obj, 0, lazy) + "\n").split(_LAZY)
+    return chain([head], *chain.from_iterable(zip(lazy, ([t] for t in tails))))
+
+
 def dumps_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting, trailing newline."""
-    return _render_json(obj, 0) + "\n"
-
-
-def _fmt_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return fmt_float(_finite(cell))
-    return str(cell)
+    return "".join(json_chunks(obj))
 
 
 def csv_text(header: str, rows: Iterable[Sequence]) -> str:
+    """A table of strings, written as they are, and numbers and booleans, written as in JSON."""
     lines = [header]
-    lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(c if isinstance(c, str) else _render_json(c, 0, []) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def matrix_csv_text(entries: np.ndarray) -> str:
     """Row-major dump of a complex matrix, header ``n,m,re,im``."""
-    return _records_csv(matrix_records(entries))
+    return "".join(matrix_records(entries).chunks())
 
 
 def vector_csv_text(values: np.ndarray) -> str:
     """Dump of a complex vector, header ``k,re,im``."""
-    return _records_csv(vector_records(values))
+    return "".join(vector_records(values).chunks())
 
 
 def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:
@@ -208,8 +238,11 @@ def read_matrix_csv(path) -> np.ndarray:
     return out
 
 
-def write_text(path: str | None, text: str) -> None:
+def write_text(path: str | None, chunks: str | Iterable[str]) -> None:
+    """Write a text, or its chunks as they are made, to ``path`` or stdout."""
+    chunks = [chunks] if isinstance(chunks, str) else chunks
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)

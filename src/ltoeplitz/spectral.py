@@ -191,6 +191,17 @@ def _top_ritz(alphas: list, betas: list) -> tuple[float, float]:
     return math.sqrt(max(float(vals[-1]), 0.0)), abs(float(vecs[-1, -1]))
 
 
+def _start_bytes(count: int, chunk: int = 2**24) -> bytearray:
+    """``random.Random(_KRYLOV_SEED).randbytes(count)`` (numpy.random would add its
+    own import to every run), drawn ``chunk`` bytes at a time as ``getrandbits``
+    takes a C int of bits. The generator makes 32-bit words, so chunks of a
+    multiple of 4 bytes join into the same stream."""
+    rng, out = random.Random(_KRYLOV_SEED), bytearray()
+    for start in range(0, count, chunk):
+        out += rng.randbytes(min(chunk, count - start))
+    return out
+
+
 def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     """sigma_1 of the N x N truncation, matrix-free, to a certified residual.
 
@@ -214,10 +225,17 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     step_bytes = 2 * n * np.dtype(complex).itemsize
     step_limit = max(int(budget * 2**20 // step_bytes), 0)
     cap = min(n, step_limit)
+
+    def over_budget(k: int) -> MemoryBudgetExceeded:
+        return MemoryBudgetExceeded(
+            f"N={n}: step k={k} of the Krylov basis needs "
+            f"{k * step_bytes / 2**20:.2f} MB; budget {budget:g} MB allows k <= {step_limit}"
+        )
+
+    if step_limit < 1:
+        raise over_budget(1)
     matvec, rmatvec = prepare(spec, n)
-    # uniform start vector from a seeded stdlib generator: numpy.random
-    # would add its own import to every run
-    bits = np.frombuffer(random.Random(_KRYLOV_SEED).randbytes(16 * n), dtype=np.uint64)
+    bits = np.frombuffer(_start_bytes(16 * n), dtype=np.uint64)
     v = (bits / 2.0**64 - 0.5).view(complex)
     v /= np.linalg.norm(v)
     right = np.empty((0, n), dtype=complex)
@@ -227,10 +245,7 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     check = 1
     for k in range(1, n + 1):
         if k > step_limit:
-            raise MemoryBudgetExceeded(
-                f"N={n}: step k={k} of the Krylov basis needs "
-                f"{k * step_bytes / 2**20:.2f} MB; budget {budget:g} MB allows k <= {step_limit}"
-            )
+            raise over_budget(k)
         right, left = _with_room(right, k, cap), _with_room(left, k, cap)
         right[k - 1] = v
         u = matvec(v)

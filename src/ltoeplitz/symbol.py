@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -64,26 +64,6 @@ class FourierSymbol:
             seen.add(index)
             coeffs[index] = complex(value)
         return cls(coeffs)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[complex], bandlimit: int) -> "FourierSymbol":
-        """Discrete Fourier analysis of boundary samples at theta_k = 2 pi k / M.
-
-        Recovers a_n = (1/M) sum_k samples_k e^{-i n theta_k} for |n| <= bandlimit,
-        which is exact for trigonometric polynomials of degree <= bandlimit once
-        M >= 2*bandlimit + 1.
-        """
-        values = np.asarray(list(samples), dtype=complex).ravel()
-        m = values.size
-        k = int(bandlimit)
-        if k < 0:
-            raise ValueError("bandlimit must be nonnegative")
-        if m < 2 * k + 1:
-            raise ValueError(
-                f"{m} samples alias bandlimit {k}: need at least {2 * k + 1} points"
-            )
-        spectrum = np.fft.fft(values) / m
-        return cls({n: spectrum[n % m] for n in range(-k, k + 1)})
 
     # -- accessors ---------------------------------------------------------
 
@@ -153,16 +133,6 @@ class FourierSymbol:
         return FourierSymbol(
             {n: (lbar**n) * v if n >= 0 else v for n, v in self._coeffs.items()}
         )
-
-    def dilate(self, multiplier: complex) -> "FourierSymbol":
-        """Analytic dilation psi(z) -> psi(c z): a_n -> c^n a_n, |c| <= 1."""
-        c = complex(multiplier)
-        if abs(c) > 1.0 + UNIT_CIRCLE_TOL:
-            raise ValueError(f"|multiplier| = {abs(c)} exceeds 1")
-        bad = [n for n in self._coeffs if n < 0]
-        if bad:
-            raise ValueError(f"dilate needs analytic support; found index {min(bad)}")
-        return FourierSymbol({n: (c**n) * v for n, v in self._coeffs.items()})
 
     # -- norms and evaluation -----------------------------------------------
 

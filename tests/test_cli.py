@@ -327,6 +327,32 @@ class TestBoundaryInput:
         assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8") == 2
         assert "--grid-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [("hsnorm", "--wco", "--lambda-re", "0.5"), ("norms", "--lambda-re", "1")],
+        ids=["hsnorm", "norms"],
+    )
+    def test_grid_size_over_the_budget(self, analytic_path, capsys, args):
+        # 1e11 complex points would take 1.5 TB
+        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8",
+                       "--grid-size", "100000000000") == 2
+        captured = capsys.readouterr()
+        assert "--grid-size 100000000000" in captured.err and "budget 1024 MB" in captured.err
+        assert captured.out == ""
+
+    def test_grid_size_is_not_charged_where_no_grid_is_made(self, analytic_path, capsys):
+        assert run_cli("hsnorm", "--lambda-re", "0.5", "--symbol", analytic_path, "--sizes", "8",
+                       "--grid-size", "100000000000") == 0
+        assert "kernel_quadrature" not in capsys.readouterr().out
+
+    def test_norms_past_the_krylov_budget(self, analytic_path, monkeypatch, capsys):
+        # one Krylov step at N = 2e7 takes 610 MB: refused before anything is allocated
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "64")
+        code, peak_mb = peak_traced_mb(
+            run_cli, "norms", "--lambda-re", "1", "--sizes", "20000000", "--symbol", analytic_path
+        )
+        assert code == 2 and peak_mb < 1.0
+        assert "step k=1 of the Krylov basis" in capsys.readouterr().err
+
     def test_wco_names_the_flag_and_the_index(self, two_cos_path, capsys):
         assert run_cli(
             "hsnorm", "--wco", "--symbol", two_cos_path, "--lambda-re", "0.5", "--sizes", "8",
@@ -363,6 +389,51 @@ class TestBoundaryInput:
         assert code == 2
         assert not out.exists()
         assert "column 'im', row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [True, False], ids=["file", "stdout"])
+    def test_json_refuses_overflow_before_writing(self, tmp_path, capsys, out):
+        sym = tmp_path / "one_plus_z.json"
+        write_symbol_file(FourierSymbol({0: 1.0, 1: 1.0}), sym)
+        vec = tmp_path / "x.csv"
+        vec.write_text("k,re,im\n0,1e308,1e308\n1,1e308,1e308\n2,1e308,1e308\n")
+        path = tmp_path / "y.json"
+        code = run_cli("apply", "--symbol", sym, "--lambda-re", "1", "--vector", vec,
+                       *(["--out", path] if out else []))
+        assert code == 2
+        assert not path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "column 're', row 0" in captured.err
+
+        sym = tmp_path / "big.json"
+        write_symbol_file(FourierSymbol({0: complex(1.7e308, 1.7e308)}), sym)
+        path = tmp_path / "m.json"
+        code = run_cli("build", "--symbol", sym, "--lambda-re", "0.6", "--lambda-im", "0.8",
+                       "--sizes", "2", *(["--out", path] if out else []))
+        assert code == 2
+        assert not path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "column 'im', row 3" in captured.err
+
+    @pytest.mark.parametrize("out", [True, False], ids=["file", "stdout"])
+    def test_json_refuses_a_scalar_after_the_records(self, two_cos_path, tmp_path, monkeypatch,
+                                                      capsys, out):
+        # every entry is finite, but |1.7e308 (1 + i)| overflows, so
+        # max_diff_vs_truncate, which sorts after "entries", is inf
+        real_solve = ltoeplitz.operator.solve_recurrence
+
+        def solve(*args):
+            solved = real_solve(*args)
+            solved[-1, -1] = complex(1.7e308, 1.7e308)
+            return solved
+
+        monkeypatch.setattr(ltoeplitz.operator, "solve_recurrence", solve)
+        path = tmp_path / "s.json"
+        code = run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "64",
+                       *(["--out", path] if out else []))
+        assert code == 2
+        assert not path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite number inf" in captured.err
 
     @pytest.mark.parametrize(
         "args",
@@ -423,6 +494,30 @@ class TestBuild:
                 "--sizes", "16", "--format", "csv", "--out", out,
             ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_n1024_peak_memory(self, tmp_path, fmt):
+        # the JSON file is 78 MB; rows are written as they are formatted. A
+        # child's ru_maxrss would count the memory of this process too, so
+        # the child reads its own high-water mark.
+        sym = tmp_path / "band.json"
+        write_symbol_file(FourierSymbol({d: complex(1.0, 0.5 * d) for d in range(-5, 6)}), sym)
+        out = tmp_path / f"b.{fmt}"
+        code = (
+            "import sys; from ltoeplitz.cli import main; code = main(sys.argv[1:]); "
+            "print(code, [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')][0])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code, "build", "--symbol", str(sym), "--lambda-re", "0.8",
+             "--sizes", "1024", "--format", fmt, "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        status, peak_kb = result.stdout.split()[-2:]
+        assert status == "0"
+        assert out.stat().st_size > 10 * 2**20
+        assert int(peak_kb) / 1024 < 120
 
 
 class TestApply:

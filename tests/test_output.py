@@ -1,4 +1,4 @@
-"""Byte identity of the column-template writers against a per-entry oracle.
+"""Byte identity of the dense writers against a per-entry oracle.
 
 The oracle below is the writer the package used before the column
 formatter: a recursive renderer that formats one Python value at a time,
@@ -161,6 +161,63 @@ def test_writers_match_oracle_on_planted_values(size):
     )
 
 
+def _zero_heavy(size, planted, seed=2):
+    """A size x size matrix of exact +0.0 but for a band, and ``planted`` {(n, m): value}."""
+    a = np.zeros((size, size), dtype=complex)
+    idx = np.arange(size)
+    a[idx, idx] = np.random.default_rng(seed).standard_normal(size) + 1j
+    for (n, m), value in planted.items():
+        a[n, m] = value
+    return a
+
+
+ZERO_HEAVY = {
+    "all-zero-row": (5, {(0, 0): 0j}),
+    # row 2 holds -0.0 and the smallest subnormal among +0.0 cells; the last
+    # row holds -0.0 in both parts and otherwise +0.0
+    "signed-zeros-and-subnormals": (
+        12, {(2, 0): complex(-0.0, 0.0), (2, 3): complex(0.0, -0.0), (2, 5): 5e-324j,
+             (2, 4): complex(-5e-324, 0.0), (11, 0): complex(-0.0, -0.0), (11, 11): 0j},
+    ),
+    # rows 2 and 4 are all +0.0, row 3 has no zero, and row 5 has one +0.0
+    # among nonzeros
+    "dense-row-between-zero-rows": (
+        7, {(2, 2): 0j, (4, 4): 0j, **{(3, m): complex(m + 0.5, -m) for m in range(7)},
+            **{(5, m): m + 1.0 for m in range(7) if m != 2}, (5, 2): 0j},
+    ),
+    "n1-zero": (1, {(0, 0): 0j}),
+    "n1-negative-zero": (1, {(0, 0): complex(-0.0, 0.0)}),
+    "n1-nonzero": (1, {(0, 0): complex(1.0, -2.0)}),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_HEAVY)
+def test_zero_cells_match_oracle(case):
+    size, planted = ZERO_HEAVY[case]
+    a = _zero_heavy(size, planted)
+    assert matrix_csv_text(a) == oracle_matrix_csv(a)
+    assert dumps_json({"N": size, "entries": matrix_records(a)}) == oracle_dumps(
+        {"N": size, "entries": oracle_matrix_dicts(a)}
+    )
+    v = a.reshape(-1)
+    assert vector_csv_text(v) == oracle_vector_csv(v)
+    assert dumps_json({"values": vector_records(v)}) == oracle_dumps({"values": oracle_vector_dicts(v)})
+
+
+@pytest.mark.parametrize("size", [999, 1000, 1001, 2345])
+def test_vector_runs_match_oracle_across_run_boundaries(size):
+    # runs of 1000 records write k as the run number and three digits
+    v = np.zeros(size, dtype=complex)
+    for k in (0, 7, 99, 999, 1000, 1001, 1009, 1099, 2000, 2344):
+        if k < size:
+            v[k] = complex(k + 0.25, -0.0)
+    v[size // 2 :: 3] = 1j
+    assert vector_csv_text(v) == oracle_vector_csv(v)
+    assert dumps_json([{"values": vector_records(v)}]) == oracle_dumps([{"values": oracle_vector_dicts(v)}])
+    dense = np.arange(size) * (1.0 - 0.5j) + 1.0
+    assert vector_csv_text(dense) == oracle_vector_csv(dense)
+
+
 def test_empty_records_match_oracle():
     empty = np.zeros(0, dtype=complex)
     assert vector_csv_text(empty) == oracle_vector_csv(empty)
@@ -219,14 +276,18 @@ def test_percent_g_matches_format_on_random_bit_patterns():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_records_refuse_non_finite_naming_column_and_row(bad):
-    values = np.array([1.0, 2.0, bad, bad])
+    values = np.zeros(4, dtype=complex)
+    values.imag = [1.0, 2.0, bad, bad]
     with pytest.raises(ValueError, match=r"non-finite .* column 'im', row 2"):
-        Records({"k": np.arange(4), "re": np.zeros(4), "im": values})
+        vector_records(values)
+    # a matrix names the record's row-major index
+    with pytest.raises(ValueError, match=r"non-finite .* column 'im', row 2"):
+        matrix_records(values.reshape(2, 2))
 
 
-def test_records_reject_ragged_columns():
-    with pytest.raises(ValueError, match="equal-length"):
-        Records({"k": np.arange(3), "re": np.zeros(4)})
+def test_records_need_one_index_field_per_axis():
+    with pytest.raises(ValueError, match="one index field per axis"):
+        Records(np.zeros((2, 2)), ("k",))
 
 
 def test_generic_csv_refuses_non_finite():

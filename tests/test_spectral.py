@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -367,6 +368,12 @@ class TestTopSingularValue:
     def test_rejects_empty_truncation(self, size):
         with pytest.raises(ValueError, match="truncation size must be >= 1"):
             top_singular_value(_spec(0.5, {0: 1.0}), size)
+
+    @pytest.mark.parametrize("count, chunk", [(16 * 7, 4), (16 * 100, 36), (16 * 3, 2**24)])
+    def test_start_vector_drawn_in_chunks_is_one_draw(self, count, chunk):
+        # getrandbits takes a C int of bits, so N > 2**24 needs several draws
+        assert spectral._start_bytes(count, chunk) == random.Random(
+            spectral._KRYLOV_SEED).randbytes(count)
 
     def test_basis_is_charged_against_the_budget(self, monkeypatch):
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
