@@ -25,15 +25,12 @@ import numpy as np
 from . import factorization, operator, spectral
 from . import symbol as symbol_mod
 from .output import (
+    Records,
     csv_text,
     fmt_float,
     json_chunks,
-    matrix_csv_text,
-    matrix_records,
     read_matrix_csv,
     read_vector_csv,
-    vector_csv_text,
-    vector_records,
     write_text,
 )
 
@@ -126,13 +123,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise CliInputError("--rank-tol must lie in (0, 1)")
     if getattr(args, "grid_size", 1) < 1:
         raise CliInputError("--grid-size must be at least 1")
-    if getattr(args, "wco", "grid_size" in args):  # norms and hsnorm --wco make the grid
-        budget, grid_mb = operator.resolve_budget_mb(), args.grid_size * 16 / 2**20
-        if grid_mb > budget:
-            raise CliInputError(
-                f"--grid-size {args.grid_size} needs {grid_mb:.1f} MB for one complex grid; "
-                f"budget {budget:g} MB ({operator.MEM_BUDGET_ENV})"
-            )
     lam = getattr(args, "lam", 0.0)
     if not cmath.isfinite(lam):
         raise CliInputError("--lambda-re and --lambda-im must be finite")
@@ -163,10 +153,21 @@ def _single_size(args: argparse.Namespace) -> int:
     return args.sizes[0]
 
 
+def _charge_grid(args: argparse.Namespace, points: int, grids: int) -> None:
+    """Refuse a quadrature that holds ``grids`` complex arrays of ``points``
+    points at once past the memory budget."""
+    budget, need_mb = operator.resolve_budget_mb(), grids * points * 16 / 2**20
+    if need_mb > budget:
+        raise CliInputError(
+            f"--grid-size {args.grid_size} needs {need_mb:.1f} MB for {grids} complex grids "
+            f"of {points} points; budget {budget:g} MB ({operator.MEM_BUDGET_ENV})"
+        )
+
+
 def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
-    """Render only the format ``--format`` names: the JSON of ``payload()``,
-    written chunk by chunk as it is formatted, or ``csv()``. Write it to
-    ``--out``, printing ``summary``, or to stdout.
+    """Render only the format ``--format`` names: the JSON of ``payload()``
+    or the CSV of ``csv()``, text or chunks, each written as it is
+    formatted. Write it to ``--out``, printing ``summary``, or to stdout.
 
     ``csv()`` may give one table per size, ``{N: text}``: stdout gets them
     one after another, a blank line apart, and ``--out`` one file per size
@@ -196,8 +197,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     op = operator.truncate(_make_spec(args), size)
     _write(
         args,
-        lambda: {"N": size, "entries": matrix_records(op.entries), "provenance": op.provenance},
-        lambda: matrix_csv_text(op.entries),
+        lambda: {"N": size, "entries": Records(op.entries), "provenance": op.provenance},
+        lambda: Records(op.entries).chunks(),
         f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}",
     )
     return EXIT_OK
@@ -213,8 +214,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         result = operator.apply_naive(operator.truncate(spec, vec.size), vec)
     else:
         result = operator.apply_fast(spec, vec)
-    _write(args, lambda: {"N": int(vec.size), "method": args.method, "values": vector_records(result)},
-           lambda: vector_csv_text(result), f"applied ({args.method}) at N={vec.size}")
+    _write(args, lambda: {"N": int(vec.size), "method": args.method, "values": Records(result)},
+           lambda: Records(result).chunks(), f"applied ({args.method}) at N={vec.size}")
     return EXIT_OK
 
 
@@ -237,6 +238,7 @@ def _cmd_hsnorm(args: argparse.Namespace) -> int:
             w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
         except ValueError as exc:
             raise CliInputError(f"--wco: {exc}") from exc
+        _charge_grid(args, args.grid_size, grids=3)  # kernel_hs_norm's circulant, fold and FFT
     closed = spectral.hs_norm_closed_form(spec)
     truncations = [
         {"N": n, "frobenius": spectral.frobenius_norm(spec, n)} for n in args.sizes
@@ -298,9 +300,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_norms(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
-    study = spectral.norm_convergence_study(spec, args.sizes)
     twisted = spec.symbol.twist_plus(spec.lam)
     grid = max(args.grid_size, 2 * twisted.max_abs_index + 1)
+    _charge_grid(args, grid, grids=2)  # evaluate_on_grid's fold and FFT
+    study = spectral.norm_convergence_study(spec, args.sizes)
     target = twisted.sup_norm_estimate(grid)
     _write(
         args,
@@ -335,8 +338,8 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
         diff = float(np.max(np.abs(solved - truncated)))
         summary += f", max diff vs truncate = {fmt_float(diff)}"
         payload["max_diff_vs_truncate"] = diff
-    _write(args, lambda: {**payload, "entries": matrix_records(solved)},
-           lambda: matrix_csv_text(solved), summary)
+    _write(args, lambda: {**payload, "entries": Records(solved)},
+           lambda: Records(solved).chunks(), summary)
     return EXIT_OK
 
 
@@ -390,7 +393,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,9 +9,7 @@ column a_n.
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -227,28 +225,20 @@ def apply_naive(op: TruncatedOperator, x) -> np.ndarray:
     return op.entries @ vec
 
 
-@functools.lru_cache(maxsize=None)
-def _smooth_numbers(bits: int) -> tuple[int, ...]:
-    """Ascending integers up to 2**bits with no prime factor above 11."""
-    limit = 1 << bits
-    numbers = [1]
-    for prime in (2, 3, 5, 7, 11):
-        multiples = []
-        for base in numbers:
-            while base <= limit:
-                multiples.append(base)
-                base *= prime
-        numbers = multiples
-    return tuple(sorted(numbers))
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest 11-smooth integer >= target: a length numpy's FFT does quickly.
 
     Equals ``scipy.fft.next_fast_len(target)`` for complex transforms.
     """
-    numbers = _smooth_numbers(max(int(target) - 1, 1).bit_length())
-    return numbers[bisect.bisect_left(numbers, target)]
+    n = max(int(target), 1)
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _convolve(hat: np.ndarray, signal: np.ndarray, length: int) -> np.ndarray:

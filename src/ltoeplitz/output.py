@@ -34,7 +34,8 @@ _RUN = 1000  # vector records per chunk: k = 1000 q + j is str(q), then j in thr
 
 class Records:
     """The records of a complex vector or matrix, one per entry in row-major
-    order: its index fields (``k``, or ``n`` and ``m``), ``re`` and ``im``.
+    order: its index fields (``k`` for a vector, ``n`` and ``m`` for a
+    matrix), ``re`` and ``im``.
 
     A non-finite part raises ``ValueError`` naming the column and the
     record's row, so neither JSON nor CSV can hold one; nothing is formatted
@@ -43,10 +44,11 @@ class Records:
     of dicts.
     """
 
-    def __init__(self, values: np.ndarray, index: tuple[str, ...]):
+    def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=complex)
-        if self.values.ndim != len(index) or len(index) not in (1, 2):
-            raise ValueError("records need one index field per axis of a vector or matrix")
+        if self.values.ndim not in (1, 2):
+            raise ValueError(f"records need a vector or a matrix, not {self.values.ndim}-D values")
+        index = ("k",) if self.values.ndim == 1 else ("n", "m")
         self.fields = (*index, "re", "im")
         self.size = self.values.size
         for name, part in (("re", self.values.real), ("im", self.values.imag)):
@@ -119,16 +121,6 @@ class Records:
         yield tail
 
 
-def matrix_records(entries: np.ndarray) -> Records:
-    """Row-major records ``n, m, re, im`` of a complex matrix."""
-    return Records(entries, ("n", "m"))
-
-
-def vector_records(values: np.ndarray) -> Records:
-    """Records ``k, re, im`` of a complex vector."""
-    return Records(values, ("k",))
-
-
 def _render_json(obj, level: int, lazy: list) -> str:
     pad = "  " * level
     inner = "  " * (level + 1)
@@ -180,16 +172,6 @@ def csv_text(header: str, rows: Iterable[Sequence]) -> str:
     lines = [header]
     lines.extend(",".join(c if isinstance(c, str) else _render_json(c, 0, []) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def matrix_csv_text(entries: np.ndarray) -> str:
-    """Row-major dump of a complex matrix, header ``n,m,re,im``."""
-    return "".join(matrix_records(entries).chunks())
-
-
-def vector_csv_text(values: np.ndarray) -> str:
-    """Dump of a complex vector, header ``k,re,im``."""
-    return "".join(vector_records(values).chunks())
 
 
 def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .output import dumps_json
+from .output import json_chunks, write_text
 
 __all__ = [
     "UNIT_CIRCLE_TOL",
@@ -233,4 +232,4 @@ def read_symbol_file(path) -> FourierSymbol:
 
 
 def write_symbol_file(symbol: FourierSymbol, path) -> None:
-    Path(path).write_text(dumps_json(symbol.to_json_dict()), encoding="utf-8")
+    write_text(path, json_chunks(symbol.to_json_dict()))

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import ltoeplitz
-from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, truncate, write_symbol_file
+from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, sawtooth, truncate, write_symbol_file
 from ltoeplitz.cli import main, parse_args
-from ltoeplitz.output import read_vector_csv, vector_csv_text
+from ltoeplitz.output import Records, read_matrix_csv, read_vector_csv
 
 from conftest import peak_traced_mb
 
@@ -339,6 +339,43 @@ class TestBoundaryInput:
         assert "--grid-size 100000000000" in captured.err and "budget 1024 MB" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "args, symbol, points, grids",
+        [(("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "32768"), None, 32768, 3),
+         (("norms", "--lambda-re", "1", "--grid-size", "65536"), None, 65536, 2),
+         # the ramp on -K..K, K = 20000, is evaluated on 2K + 1 points, not 64
+         (("norms", "--lambda-re", "-1", "--grid-size", "64"), sawtooth(20000), 40001, 2)],
+        ids=["hsnorm", "norms", "norms-ramp"],
+    )
+    def test_grid_size_charges_every_grid_held_at_once(
+        self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids
+    ):
+        # one grid fits in 1 MB; the grids that are held together do not
+        path = analytic_path
+        if symbol is not None:
+            path = tmp_path / "symbol.json"
+            write_symbol_file(symbol, path)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
+        need = grids * points * 16 / 2**20
+        assert capsys.readouterr().err == (
+            f"error: {args[-2]} {args[-1]} needs {need:.1f} MB for {grids} complex grids "
+            f"of {points} points; budget 1 MB (LT_MEM_BUDGET_MB)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--sizes", "4,x"), "bad --sizes value '4,x': invalid literal for int() with base 10: 'x'"),
+         (("--sizes", ","), "--sizes must name at least one truncation size"),
+         (("--sizes", "0,4"), "--sizes entries must be positive"),
+         (("--sizes", "4", "--rank-tol", "1.5"), "--rank-tol must lie in (0, 1)")],
+        ids=["sizes-value", "sizes-empty", "sizes-non-positive", "rank-tol"],
+    )
+    def test_malformed_flag_value(self, two_cos_path, capsys, args, message):
+        assert run_cli("svd", "--symbol", two_cos_path, *args) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_grid_size_is_not_charged_where_no_grid_is_made(self, analytic_path, capsys):
         assert run_cli("hsnorm", "--lambda-re", "0.5", "--symbol", analytic_path, "--sizes", "8",
                        "--grid-size", "100000000000") == 0
@@ -495,11 +532,9 @@ class TestBuild:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_n1024_peak_memory(self, tmp_path, fmt):
-        # the JSON file is 78 MB; rows are written as they are formatted. A
-        # child's ru_maxrss would count the memory of this process too, so
+    @staticmethod
+    def _n1024_peak_mb(tmp_path, fmt):
+        # A child's ru_maxrss would count the memory of this process too, so
         # the child reads its own high-water mark.
         sym = tmp_path / "band.json"
         write_symbol_file(FourierSymbol({d: complex(1.0, 0.5 * d) for d in range(-5, 6)}), sym)
@@ -517,7 +552,17 @@ class TestBuild:
         status, peak_kb = result.stdout.split()[-2:]
         assert status == "0"
         assert out.stat().st_size > 10 * 2**20
-        assert int(peak_kb) / 1024 < 120
+        return int(peak_kb) / 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_n1024_peak_memory(self, tmp_path, fmt):
+        # the JSON file is 78 MB and the CSV 13 MB; both are written row by
+        # row as they are formatted, so neither text is ever held whole
+        peak_mb = self._n1024_peak_mb(tmp_path, fmt)
+        assert peak_mb < 120
+        if fmt == "csv":
+            assert peak_mb <= self._n1024_peak_mb(tmp_path, "json") + 5
 
 
 class TestApply:
@@ -525,7 +570,7 @@ class TestApply:
         rng = np.random.default_rng(3)
         vec = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         vec_path = tmp_path / "x.csv"
-        vec_path.write_text(vector_csv_text(vec))
+        vec_path.write_text("".join(Records(vec).chunks()))
         outs = {}
         for method in ("fast", "naive"):
             out = tmp_path / f"{method}.csv"
@@ -751,13 +796,11 @@ class TestSolveRecurrence:
         assert json.loads(out.read_text())["max_diff_vs_truncate"] < 1e-13
 
     def test_forcing_matrix_from_file(self, two_cos_path, tmp_path):
-        from ltoeplitz.output import matrix_csv_text, read_matrix_csv
-
         rng = np.random.default_rng(11)
         n = 8
         forcing = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b_path = tmp_path / "b.csv"
-        b_path.write_text(matrix_csv_text(forcing))
+        b_path.write_text("".join(Records(forcing).chunks()))
         out = tmp_path / "a.csv"
         code = run_cli(
             "solve-recurrence", "--symbol", two_cos_path, "--lambda-re", "0.4",
@@ -779,10 +822,8 @@ class TestSolveRecurrence:
         assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
 
     def test_forcing_shape_mismatch(self, two_cos_path, tmp_path):
-        from ltoeplitz.output import matrix_csv_text
-
         b_path = tmp_path / "b.csv"
-        b_path.write_text(matrix_csv_text(np.zeros((4, 4), dtype=complex)))
+        b_path.write_text("".join(Records(np.zeros((4, 4), dtype=complex)).chunks()))
         assert run_cli(
             "solve-recurrence", "--symbol", two_cos_path, "--lambda-re", "0.4",
             "--sizes", "8", "--b-matrix", b_path,

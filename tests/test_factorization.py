@@ -25,6 +25,7 @@ from ltoeplitz import (
     wco_hs_norm_closed_form,
     wco_spectrum_check,
 )
+from ltoeplitz.factorization import _band_residual
 
 from conftest import (
     disc_lambdas,
@@ -365,6 +366,15 @@ def test_band_residuals_equal_dense_residuals(phi, n, unit, disc, real):
     assert got == dense_toeplitz_comp_residuals(spec, n)
     w = WeightedCompositionSpec(phi.analytic_part(), disc)
     assert wco_spectrum_check(w, n).residual == dense_spectrum_residual(w, n)
+
+
+def test_band_residual_compares_a_right_only_band_with_zeros():
+    # band -1 is stored on the right only; band 0 differs by 0.5 and band 2
+    # is stored on the left only
+    lhs = iter([(0, np.array([1.0, 1.0])), (2, np.array([0.25]))])
+    rhs = iter([(-1, np.array([0.0, -3.0])), (0, np.array([1.5, 1.0]))])
+    assert _band_residual(lhs, rhs) == 3.0
+    assert math.isnan(_band_residual(iter([]), iter([(1, np.array([np.nan]))])))
 
 
 def test_toeplitz_comp_names_an_overflowing_power():

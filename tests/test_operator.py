@@ -20,12 +20,7 @@ from ltoeplitz import (
     truncate,
     truncation_borders,
 )
-from ltoeplitz.output import (
-    matrix_csv_text,
-    read_matrix_csv,
-    read_vector_csv,
-    vector_csv_text,
-)
+from ltoeplitz.output import Records, read_matrix_csv, read_vector_csv
 
 from conftest import disc_lambdas, random_spec, symbols
 
@@ -430,6 +425,17 @@ class TestSolveRecurrence:
         with pytest.raises(ValueError):
             solve_recurrence(0.5, np.zeros((3, 3)), [1.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "row, col, message",
+        [([], [], "borders must be nonempty"),
+         ([1.0, 0.0], [1.0, 0.0, 0.0], "first_row has length 2 but first_col has length 3")],
+        ids=["empty", "lengths"],
+    )
+    def test_border_errors_name_the_borders(self, row, col, message):
+        with pytest.raises(ValueError) as err:
+            solve_recurrence(0.5, np.zeros((2, 2)), row, col)
+        assert str(err.value) == message
+
 
 class TestAdjointSymmetry:
     def test_conjugate_transpose_matches_conjugate_spec(self):
@@ -447,7 +453,7 @@ class TestCsvFormats:
     def test_matrix_roundtrip(self, tmp_path):
         op = truncate(random_spec(RNG), 5)
         path = tmp_path / "m.csv"
-        path.write_text(matrix_csv_text(op.entries))
+        path.write_text("".join(Records(op.entries).chunks()))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,m,re,im"
         assert len(lines) == 1 + 25
@@ -456,7 +462,7 @@ class TestCsvFormats:
     def test_vector_roundtrip(self, tmp_path):
         vec = np.array([1 + 2j, -0.5, 1j / 3])
         path = tmp_path / "v.csv"
-        path.write_text(vector_csv_text(vec))
+        path.write_text("".join(Records(vec).chunks()))
         assert np.max(np.abs(read_vector_csv(path) - vec)) == 0.0
 
 

@@ -17,16 +17,7 @@ import pytest
 from ltoeplitz import FourierSymbol, LambdaToeplitzSpec
 from ltoeplitz.cli import main
 from ltoeplitz.operator import apply_fast, solve_recurrence, truncate, truncation_borders
-from ltoeplitz.output import (
-    Records,
-    csv_text,
-    dumps_json,
-    matrix_csv_text,
-    matrix_records,
-    read_vector_csv,
-    vector_csv_text,
-    vector_records,
-)
+from ltoeplitz.output import Records, csv_text, dumps_json, read_matrix_csv, read_vector_csv
 
 SIZES = (1, 2, 7, 64)
 # -0.0, subnormals, a huge value and integral floats (1.0 is written "1")
@@ -149,14 +140,14 @@ def _run(*args):
 @pytest.mark.parametrize("size", SIZES)
 def test_writers_match_oracle_on_planted_values(size):
     a = planted_matrix(size)
-    assert matrix_csv_text(a) == oracle_matrix_csv(a)
-    assert dumps_json({"N": size, "entries": matrix_records(a)}) == oracle_dumps(
+    assert "".join(Records(a).chunks()) == oracle_matrix_csv(a)
+    assert dumps_json({"N": size, "entries": Records(a)}) == oracle_dumps(
         {"N": size, "entries": oracle_matrix_dicts(a)}
     )
     v = a.reshape(-1)
-    assert vector_csv_text(v) == oracle_vector_csv(v)
+    assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
     # a record list nested one level deeper keeps the oracle's indentation
-    assert dumps_json([{"values": vector_records(v)}]) == oracle_dumps(
+    assert dumps_json([{"values": Records(v)}]) == oracle_dumps(
         [{"values": oracle_vector_dicts(v)}]
     )
 
@@ -195,13 +186,13 @@ ZERO_HEAVY = {
 def test_zero_cells_match_oracle(case):
     size, planted = ZERO_HEAVY[case]
     a = _zero_heavy(size, planted)
-    assert matrix_csv_text(a) == oracle_matrix_csv(a)
-    assert dumps_json({"N": size, "entries": matrix_records(a)}) == oracle_dumps(
+    assert "".join(Records(a).chunks()) == oracle_matrix_csv(a)
+    assert dumps_json({"N": size, "entries": Records(a)}) == oracle_dumps(
         {"N": size, "entries": oracle_matrix_dicts(a)}
     )
     v = a.reshape(-1)
-    assert vector_csv_text(v) == oracle_vector_csv(v)
-    assert dumps_json({"values": vector_records(v)}) == oracle_dumps({"values": oracle_vector_dicts(v)})
+    assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
+    assert dumps_json({"values": Records(v)}) == oracle_dumps({"values": oracle_vector_dicts(v)})
 
 
 @pytest.mark.parametrize("size", [999, 1000, 1001, 2345])
@@ -212,16 +203,16 @@ def test_vector_runs_match_oracle_across_run_boundaries(size):
         if k < size:
             v[k] = complex(k + 0.25, -0.0)
     v[size // 2 :: 3] = 1j
-    assert vector_csv_text(v) == oracle_vector_csv(v)
-    assert dumps_json([{"values": vector_records(v)}]) == oracle_dumps([{"values": oracle_vector_dicts(v)}])
+    assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
+    assert dumps_json([{"values": Records(v)}]) == oracle_dumps([{"values": oracle_vector_dicts(v)}])
     dense = np.arange(size) * (1.0 - 0.5j) + 1.0
-    assert vector_csv_text(dense) == oracle_vector_csv(dense)
+    assert "".join(Records(dense).chunks()) == oracle_vector_csv(dense)
 
 
 def test_empty_records_match_oracle():
     empty = np.zeros(0, dtype=complex)
-    assert vector_csv_text(empty) == oracle_vector_csv(empty)
-    assert dumps_json({"values": vector_records(empty)}) == oracle_dumps({"values": []})
+    assert "".join(Records(empty).chunks()) == oracle_vector_csv(empty)
+    assert dumps_json({"values": Records(empty)}) == oracle_dumps({"values": []})
 
 
 @pytest.mark.parametrize("lam", [0j, 0.6 + 0.6j], ids=["lambda0", "lambda0.6+0.6i"])
@@ -279,17 +270,53 @@ def test_records_refuse_non_finite_naming_column_and_row(bad):
     values = np.zeros(4, dtype=complex)
     values.imag = [1.0, 2.0, bad, bad]
     with pytest.raises(ValueError, match=r"non-finite .* column 'im', row 2"):
-        vector_records(values)
+        Records(values)
     # a matrix names the record's row-major index
     with pytest.raises(ValueError, match=r"non-finite .* column 'im', row 2"):
-        matrix_records(values.reshape(2, 2))
+        Records(values.reshape(2, 2))
 
 
 def test_records_need_one_index_field_per_axis():
-    with pytest.raises(ValueError, match="one index field per axis"):
-        Records(np.zeros((2, 2)), ("k",))
+    # k for a vector, n and m for a matrix: other shapes have no index fields
+    for values, ndim in ((np.complex128(1.0), 0), (np.zeros((2, 2, 2)), 3)):
+        with pytest.raises(ValueError) as err:
+            Records(values)
+        assert str(err.value) == f"records need a vector or a matrix, not {ndim}-D values"
 
 
 def test_generic_csv_refuses_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         csv_text("N,value", [(8, 1.0), (16, math.inf)])
+
+
+MALFORMED_CSV = {
+    "vector-wrong-columns": (read_vector_csv, "k,re\n0,1\n", "expected columns k,re,im"),
+    "vector-out-of-order": (read_vector_csv, "k,re,im\n1,0,0\n0,0,0\n",
+                            "vector indices must run 0..N-1 in order"),
+    "matrix-wrong-count": (read_matrix_csv, "n,m,re,im\n0,0,1,0\n1,1,0,0\n",
+                           "expected 4 entries for an 2x2 matrix"),
+    "matrix-negative-index": (read_matrix_csv, "n,m,re,im\n0,0,0,0\n0,1,0,0\n1,-1,0,0\n1,1,0,0\n",
+                              "fields 'n' and 'm' must be nonnegative integers"),
+    "matrix-fractional-index": (read_matrix_csv, "n,m,re,im\n0,0,0,0\n0,0.5,0,0\n1,0,0,0\n1,1,0,0\n",
+                                "fields 'n' and 'm' must be nonnegative integers"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CSV)
+def test_csv_readers_refuse_malformed_tables(tmp_path, case):
+    read, text, message = MALFORMED_CSV[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("read, what", [(read_vector_csv, "vector"), (read_matrix_csv, "matrix")])
+def test_csv_readers_refuse_a_header_without_entries(tmp_path, read, what):
+    path = tmp_path / "t.csv"
+    path.write_text("k,re,im\n" if what == "vector" else "n,m,re,im\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: no {what} entries"

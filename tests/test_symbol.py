@@ -72,6 +72,11 @@ class TestFromSamples:
     def test_constant(self):
         assert np.array_equal(FourierSymbol({0: 3.0}).evaluate_on_grid(8), np.full(8, 3.0 + 0j))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError) as err:
+            FourierSymbol({0: 3.0}).evaluate_on_grid(0)
+        assert str(err.value) == "grid_size must be >= 1"
+
     def test_ramp_against_quadrature_oracle(self):
         m = 4096
         theta = 2.0 * np.pi * np.arange(m) / m
