@@ -293,7 +293,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
+    try:
+        w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
+    except ValueError as exc:
+        raise CliInputError(f"{args.symbol_path}: {exc}") from exc
     results = [spectral.wco_spectrum_check(w, n, **_tol(args)) for n in args.sizes]
     return _emit_verifications(args, results, gate=lambda r: True)
 

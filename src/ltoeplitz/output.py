@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -65,7 +66,7 @@ class Records:
 
         Each column has a zero cell, the constant text of a record whose re
         and im are both +0.0 (told by the sign bit: ``%.17g`` writes -0.0 as
-        ``-0``), and a cell template that takes re and im through ``%.17g``.
+        ``-0``), and a cell template that formats re and im by ``FLOAT_FORMAT``.
         A row formats only its other records, one template each, or, where
         they are the majority, fills one template for the whole row. Cells
         hold the column part of the index, ``m`` or the last three digits of
@@ -98,7 +99,7 @@ class Records:
             digits = len(str(_RUN)) - 1 if q and values.ndim == 1 else 0
             if (digits, row.size) not in cells:
                 halves = [record([{**index, "re": p, "im": p}[name] for name in names]).split(_COL)
-                          for p in ("0", "%.17g")]
+                          for p in ("0", "%" + FLOAT_FORMAT)]
                 col = [str(j).zfill(digits) for j in range(row.size)]
                 cells[digits, row.size] = [[a + c + b for c in col] for a, b in halves]
             zero, full = cells[digits, row.size]
@@ -176,7 +177,9 @@ def csv_text(header: str, rows: Iterable[Sequence]) -> str:
 
 def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:
     """Rows of a numeric CSV with the given columns; every field must be finite."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # an empty table gets its own error below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no {what} entries")
     if data.shape[1] != len(columns):

@@ -398,6 +398,34 @@ class TestBoundaryInput:
         assert captured.err == "error: --wco: weight must be analytic; found index -1\n"
         assert captured.out == ""
 
+    def test_spectrum_names_the_symbol_file(self, two_cos_path, capsys):
+        assert run_cli("spectrum", "--symbol", two_cos_path, "--lambda-re", "0.5", "--sizes", "8") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {two_cos_path}: weight must be analytic; found index -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, header, flag, what",
+        [
+            (("apply",), "k,re,im", "--vector", "vector"),
+            (("solve-recurrence", "--sizes", "2"), "n,m,re,im", "--b-matrix", "matrix"),
+        ],
+        ids=["apply", "solve-recurrence"],
+    )
+    def test_header_only_csv_prints_only_the_error(self, two_cos_path, tmp_path, args, header,
+                                                   flag, what):
+        # a fresh process, because pytest would capture numpy's loadtxt warning
+        table = tmp_path / "t.csv"
+        table.write_text(header + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "ltoeplitz", *args, "--symbol", two_cos_path, flag, str(table)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: bad {flag} file: {table}: no {what} entries\n"
+
     def test_apply_csv_refuses_overflow(self, tmp_path, capsys):
         # (1 + z) applied to 1e308 entries at lambda = 1 overflows to inf/nan
         sym = tmp_path / "one_plus_z.json"
@@ -684,8 +712,9 @@ class TestHsNorm:
         data = json.loads(out.read_text())
         assert abs(data["kernel_quadrature"] - data["closed_form"]) < 1e-6
 
-    def test_circle_lambda_rejected(self, two_cos_path):
+    def test_circle_lambda_rejected(self, two_cos_path, capsys):
         assert run_cli("hsnorm", "--symbol", two_cos_path, "--lambda-re", "1") == 2
+        assert capsys.readouterr().err == "error: Hilbert-Schmidt closed form requires |lambda| < 1\n"
 
     @pytest.mark.parametrize("power", [-560, 560])
     def test_scaled_symbol_scales_every_value(self, tmp_path, power):
@@ -734,6 +763,21 @@ class TestVerifyIdentities:
         assert by_variant["as-stated"]["residual"] >= 0.74
         assert by_variant["corrected"]["pass"] is True
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("unitary", "--lambda-re", "0.5"), "unitary factorization requires |lambda| = 1"),
+            (("toeplitz-comp", "--lambda-re", "0.3", "--lambda-im", "0.4"),
+             "toeplitz-comp factorization needs real lambda in (0, 1)"),
+        ],
+        ids=["unitary", "toeplitz-comp"],
+    )
+    def test_lambda_outside_the_identity_domain(self, two_cos_path, capsys, args, message):
+        assert run_cli("verify", "--identity", *args, "--symbol", two_cos_path, "--sizes", "8") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_csv_format(self, two_cos_path, tmp_path):
         out = tmp_path / "v.csv"
         code = run_cli(
@@ -781,8 +825,9 @@ class TestRankSpectrumNorms:
         norms = [row["operator_norm"] for row in data["norms"]]
         assert norms[0] < norms[1] < 4.0
 
-    def test_norms_rejects_interior_lambda(self, two_cos_path):
+    def test_norms_rejects_interior_lambda(self, two_cos_path, capsys):
         assert run_cli("norms", "--symbol", two_cos_path, "--lambda-re", "0.5") == 2
+        assert capsys.readouterr().err == "error: norm convergence study requires |lambda| = 1\n"
 
 
 class TestSolveRecurrence:

@@ -312,7 +312,6 @@ def test_csv_readers_refuse_malformed_tables(tmp_path, case):
     assert str(err.value) == f"{path}: {message}"
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @pytest.mark.parametrize("read, what", [(read_vector_csv, "vector"), (read_matrix_csv, "matrix")])
 def test_csv_readers_refuse_a_header_without_entries(tmp_path, read, what):
     path = tmp_path / "t.csv"

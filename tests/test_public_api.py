@@ -1,4 +1,5 @@
-"""The package's public names: each module's ``__all__`` against what it defines.
+"""The package's public names: each module's ``__all__`` against what it
+defines, and the package's ``__all__`` as the union of those lists.
 
 Tools that wrap every ``__all__`` entry with ``getattr`` (the benchmark's
 tracer does) crash on one stale name, so a deleted function must leave every
@@ -21,14 +22,18 @@ def test_every_listed_name_resolves(module):
 
 
 def test_package_exports_are_listed_by_their_module():
+    listed = [name for m in LISTED for name in m.__all__]
     exported = {
-        name: value
+        name
         for name, value in vars(ltoeplitz).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    unlisted = [
-        name
-        for name, value in exported.items()
-        if not any(name in m.__all__ and getattr(m, name) is value for m in LISTED)
-    ]
-    assert exported and unlisted == []
+    assert len(set(listed)) == len(listed)  # no name is declared by two modules
+    assert set(ltoeplitz.__all__) == set(listed) == exported
+    assert [n for m in LISTED for n in m.__all__ if getattr(ltoeplitz, n) is not getattr(m, n)] == []
+
+
+def test_star_import_binds_exactly_the_listed_names():
+    namespace = {}
+    exec("from ltoeplitz import *", namespace)
+    assert set(namespace) - {"__builtins__"} == {name for m in LISTED for name in m.__all__}
