@@ -6,9 +6,10 @@ needs one, and writes deterministic CSV or JSON (sorted keys, 17 significant
 digits) either to --out or to stdout. Each subcommand takes only the flags
 it reads, spelled out in full; any other flag is a usage error.
 
-Exit status: 0 success, 1 a verification residual exceeded its tolerance
-(the result is still written), 2 input error (bad JSON, |lambda| > 1,
-malformed sizes, missing files, a flag the command does not take).
+Exit status: 0 success, 1 a verification residual exceeded its tolerance or
+a bound failed (the result is still written), 2 input error (bad JSON, a
+symbol field of the wrong type, |lambda| > 1, malformed sizes, missing files,
+a flag the command does not take).
 """
 
 from __future__ import annotations
@@ -47,12 +48,18 @@ class CliInputError(Exception):
 
 
 def _parse_sizes(raw: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise CliInputError(f"bad --sizes value {raw!r}: {exc}") from exc
-    if not sizes:
+    """The comma-separated sizes: each entry ASCII digits, none empty."""
+    parts = raw.split(",")
+    if not "".join(parts):
         raise CliInputError("--sizes must name at least one truncation size")
+    for i, part in enumerate(parts, 1):
+        if not (part.isascii() and part.isdigit()):
+            what = f"{part!r}, not an ASCII decimal integer" if part else "empty"
+            raise CliInputError(f"bad --sizes value {raw!r}: entry {i} is {what}")
+    try:
+        sizes = tuple(map(int, parts))
+    except ValueError as exc:  # int() refuses more than 4300 digits
+        raise CliInputError(f"bad --sizes value {raw!r}: {exc}") from exc
     if any(n < 1 for n in sizes):
         raise CliInputError("--sizes entries must be positive")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -221,14 +228,19 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_svd(args: argparse.Namespace) -> int:
     reports = spectral.svd_study(_make_spec(args), args.sizes, args.rank_tol)
+    # the trace-norm majorant holds for |lambda| < 1 only
+    bounds = [spectral.trace_norm_bound_check(r, args.lam) if abs(args.lam) < 1.0 else None
+              for r in reports]
+    failed = any(b is not None and not b.passed for b in bounds)
     done = "wrote singular values for" if args.fmt == "csv" else "analyzed"
     _write(
         args,
-        lambda: [r.to_json_dict() for r in reports],
+        lambda: [{**r.to_json_dict(), "trace_norm_bound": b and b.to_json_dict()}
+                 for r, b in zip(reports, bounds)],
         lambda: {r.size: csv_text("k,sigma_k", r.singular_value_rows()) for r in reports},
-        f"{done} N in {list(args.sizes)}",
+        f"{done} N in {list(args.sizes)}" + (", trace-norm bound FAIL" if failed else ""),
     )
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def _cmd_hsnorm(args: argparse.Namespace) -> int:

@@ -19,7 +19,6 @@ from .operator import (
     TruncatedOperator,
     _bands,
     _checked_size,
-    _convolve,
     _unit_scaled,
     powers,
     truncate,
@@ -38,7 +37,6 @@ __all__ = [
     "verify_unitary_factorization",
     "verify_wco_sum",
     "verify_toeplitz_comp_factorization",
-    "quadrature_apply",
     "kernel_hs_norm",
     "wco_hs_norm_closed_form",
 ]
@@ -262,17 +260,6 @@ def _kernel_circulant(lam: complex, grid_size: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"kernel grid size M must be >= 1, got {m}")
     return 1.0 / (1.0 - lam * np.exp(2j * np.pi * np.arange(m) / m))
-
-
-def quadrature_apply(spec: LambdaToeplitzSpec, samples) -> np.ndarray:
-    """Trapezoid-rule application (1/M) sum_k kernel(j, k) f(z_k), M = len(samples):
-    (phi_plus (c conv f) + c conv (phi_minus f)) / M, two cyclic convolutions."""
-    f = np.asarray(samples, dtype=complex).ravel()
-    m = f.size
-    c_hat = np.fft.fft(_kernel_circulant(spec.lam, m))
-    out = spec.symbol.analytic_part().evaluate_on_grid(m) * _convolve(c_hat, f, m)
-    out += _convolve(c_hat, spec.symbol.coanalytic_part().evaluate_on_grid(m) * f, m)
-    return out / m
 
 
 def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:

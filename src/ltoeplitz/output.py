@@ -1,4 +1,4 @@
-"""Deterministic text output and input for CLI and scripts.
+"""Deterministic text output and input for the `ltoep` CLI and symbol files.
 
 Every floating-point number is rendered with 17 significant digits, so a
 fixed configuration always yields byte-identical files.

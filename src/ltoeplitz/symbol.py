@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
 ]
 
 UNIT_CIRCLE_TOL = 1e-12
+_JSON_NUMBERS = (int, float)  # the types json.load gives a number; bool is not one
+_FLOAT_MAX = sys.float_info.max  # a larger int, like inf and nan, is no finite float
 
 
 def is_unimodular(value: complex, tol: float = UNIT_CIRCLE_TOL) -> bool:
@@ -182,31 +185,47 @@ class FourierSymbol:
     def from_json_dict(cls, data: Mapping) -> "FourierSymbol":
         """The symbol of ``{"coefficients": [{"n": ..., "re": ..., "im": ...}, ...]}``.
 
-        One walk over the entries parses each, checks that it is finite and
-        that its index is new, and stores it; zero values are dropped
-        afterwards, as ``__init__`` drops them.
+        ``n`` must be a JSON integer and ``re`` and ``im``, each 0 when
+        absent, JSON numbers; a bool or a string is neither. One walk over
+        the entries checks each, that it is finite and that its index is
+        new, and stores it; zero values are dropped afterwards, as
+        ``__init__`` drops them. A fault names its field and its entry.
         """
+        entries = data.get("coefficients") if isinstance(data, Mapping) else None
+        if type(entries) is not list:
+            raise ValueError("bad symbol JSON: field 'coefficients' must be a list of objects")
         coeffs: dict[int, complex] = {}
-        try:
-            for e in data["coefficients"]:
-                n, re, im = int(e["n"]), float(e.get("re", 0.0)), float(e.get("im", 0.0))
-                if n in coeffs or not (math.isfinite(re) and math.isfinite(im)):
-                    break
-                coeffs[n] = complex(re, im)
-            else:
-                symbol = cls()
-                symbol._coeffs = {n: v for n, v in coeffs.items() if v}
-                return symbol
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad symbol JSON: {exc}") from exc
-        # the entry that stopped the walk
-        for field, part in (("re", re), ("im", im)):
-            if not math.isfinite(part):
-                raise ValueError(
-                    f"bad symbol JSON: field {field!r} of coefficient n={n} "
-                    f"is not finite ({part!r})"
-                )
-        raise ValueError(f"duplicate coefficient index {n}")
+        for i, e in enumerate(entries):
+            if type(e) is not dict:
+                raise ValueError(f"bad symbol JSON: coefficients[{i}] must be an object")
+            n, re, im = e.get("n"), e.get("re", 0.0), e.get("im", 0.0)
+            if type(n) is not int:
+                what = "is missing"
+                if "n" in e:
+                    what = f"must be a JSON integer, not {json.dumps(n, default=repr)}"
+                raise ValueError(f"bad symbol JSON: field 'n' of coefficients[{i}] {what}")
+            if not (type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS
+                    and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX):
+                raise ValueError(f"bad symbol JSON: {_part_fault(n, re, im)}")
+            if n in coeffs:
+                raise ValueError(f"duplicate coefficient index {n}")
+            coeffs[n] = complex(re, im)
+        symbol = cls()
+        symbol._coeffs = {n: v for n, v in coeffs.items() if v}
+        return symbol
+
+
+def _part_fault(n: int, re, im) -> str:
+    """Why ``re`` or ``im`` of coefficient n is not a finite JSON number."""
+    for field, part in (("re", re), ("im", im)):
+        where = f"field {field!r} of coefficient n={n}"
+        if type(part) not in _JSON_NUMBERS:
+            return f"{where} must be a JSON number, not {json.dumps(part, default=repr)}"
+        if type(part) is int and abs(part) > _FLOAT_MAX:
+            return f"{where} lies outside the float range"
+        if not math.isfinite(part):
+            return f"{where} is not finite ({part!r})"
+    raise AssertionError("both parts are finite numbers")
 
 
 def sawtooth(bandlimit: int) -> FourierSymbol:

@@ -365,16 +365,43 @@ class TestBoundaryInput:
 
     @pytest.mark.parametrize(
         "args, message",
-        [(("--sizes", "4,x"), "bad --sizes value '4,x': invalid literal for int() with base 10: 'x'"),
+        [(("--sizes", "4,x"), "bad --sizes value '4,x': entry 2 is 'x', not an ASCII decimal integer"),
          (("--sizes", ","), "--sizes must name at least one truncation size"),
          (("--sizes", "0,4"), "--sizes entries must be positive"),
-         (("--sizes", "4", "--rank-tol", "1.5"), "--rank-tol must lie in (0, 1)")],
-        ids=["sizes-value", "sizes-empty", "sizes-non-positive", "rank-tol"],
+         (("--sizes", "4", "--rank-tol", "1.5"), "--rank-tol must lie in (0, 1)"),
+         (("--sizes", "8,,16"), "bad --sizes value '8,,16': entry 2 is empty"),
+         (("--sizes", ",8"), "bad --sizes value ',8': entry 1 is empty"),
+         (("--sizes", "1_6"), "bad --sizes value '1_6': entry 1 is '1_6', not an ASCII decimal integer"),
+         (("--sizes", "\u0663"),
+          "bad --sizes value '\u0663': entry 1 is '\u0663', not an ASCII decimal integer")],
+        ids=["sizes-value", "sizes-empty", "sizes-non-positive", "rank-tol", "sizes-empty-entry",
+             "sizes-leading-comma", "sizes-underscore", "sizes-arabic-indic-digit"],
     )
     def test_malformed_flag_value(self, two_cos_path, capsys, args, message):
         assert run_cli("svd", "--symbol", two_cos_path, *args) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"coefficients": [{"n": 1.5, "re": 1.0}]}',
+          "field 'n' of coefficients[0] must be a JSON integer, not 1.5"),
+         ('{"coefficients": [{"n": true, "re": 1.0}]}',
+          "field 'n' of coefficients[0] must be a JSON integer, not true"),
+         ('{"coefficients": [{"n": "2", "re": "1e0"}]}',
+          'field \'n\' of coefficients[0] must be a JSON integer, not "2"'),
+         ('{"coefficients": [{"n": 2, "re": "1e0"}]}',
+          'field \'re\' of coefficient n=2 must be a JSON number, not "1e0"'),
+         ('{"coefficients": {"0": {"re": 1.0}}}',
+          "field 'coefficients' must be a list of objects")],
+        ids=["float-index", "bool-index", "string-index", "string-value", "coefficients-object"],
+    )
+    def test_symbol_file_types(self, tmp_path, capsys, text, message):
+        sym = tmp_path / "sym.json"
+        sym.write_text(text)
+        assert run_cli("svd", "--symbol", sym, "--lambda-re", "0.5", "--sizes", "4") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {sym}: bad symbol JSON: {message}\n")
 
     def test_grid_size_is_not_charged_where_no_grid_is_made(self, analytic_path, capsys):
         assert run_cli("hsnorm", "--lambda-re", "0.5", "--symbol", analytic_path, "--sizes", "8",
@@ -642,6 +669,53 @@ class TestSvd:
             assert lines[0] == "k,sigma_k"
             assert len(lines) == 1 + n
 
+    def test_trace_norm_bound_inside_the_disc(self, two_cos_path, tmp_path):
+        out = tmp_path / "svd.json"
+        args = ("svd", "--symbol", two_cos_path, "--lambda-re", "0.8", "--sizes", "8,16")
+        assert run_cli(*args, "--out", out) == 0
+        spec = LambdaToeplitzSpec(0.8, FourierSymbol({1: 1.0, -1: 1.0}))
+        reports = json.loads(out.read_text())
+        for report, library in zip(reports, ltoeplitz.svd_study(spec, [8, 16]), strict=True):
+            bound = report["trace_norm_bound"]
+            assert bound == ltoeplitz.trace_norm_bound_check(library, 0.8).to_json_dict()
+            assert (bound["identity"], bound["N"], bound["pass"]) == (
+                "trace-norm-bound", report["N"], True
+            )
+
+    @pytest.mark.parametrize("lam", [("--lambda-re", "1"), ("--lambda-im", "-1")], ids=["1", "-i"])
+    def test_no_trace_norm_bound_on_the_circle(self, two_cos_path, tmp_path, lam):
+        out = tmp_path / "svd.json"
+        assert run_cli("svd", "--symbol", two_cos_path, *lam, "--sizes", "4,8", "--out", out) == 0
+        assert [r["trace_norm_bound"] for r in json.loads(out.read_text())] == [None, None]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_trace_norm_bound_exits_one(self, two_cos_path, tmp_path, monkeypatch, capsys,
+                                               fmt):
+        def failing(report, lam):
+            return ltoeplitz.VerificationResult("trace-norm-bound", report.size, 1.0, 1e-9, False)
+
+        args = ("svd", "--symbol", two_cos_path, "--lambda-re", "0.8", "--sizes", "8",
+                "--format", fmt)
+        passed, failed = tmp_path / f"passed.{fmt}", tmp_path / f"failed.{fmt}"
+        assert run_cli(*args, "--out", passed) == 0
+        monkeypatch.setattr(ltoeplitz.spectral, "trace_norm_bound_check", failing)
+        assert run_cli(*args, "--out", failed) == 1
+        assert capsys.readouterr().out.endswith(", trace-norm bound FAIL\n")
+        if fmt == "csv":
+            assert failed.read_bytes() == passed.read_bytes()
+        else:
+            (report,) = json.loads(failed.read_text())
+            assert report["trace_norm_bound"]["pass"] is False
+
+    def test_csv_is_only_the_singular_values(self, two_cos_path, tmp_path):
+        out = tmp_path / "sv.csv"
+        assert run_cli("svd", "--symbol", two_cos_path, "--lambda-re", "0.8", "--sizes", "9",
+                       "--format", "csv", "--out", out) == 0
+        spec = LambdaToeplitzSpec(0.8, FourierSymbol({1: 1.0, -1: 1.0}))
+        (report,) = ltoeplitz.svd_study(spec, [9])
+        rows = "".join(f"{k},{s:.17g}\n" for k, s in enumerate(report.singular_values, 1))
+        assert out.read_text() == "k,sigma_k\n" + rows
+
     def test_svd_of_huge_entries_has_a_finite_frobenius_norm(self, tmp_path):
         # squares of 1e160 overflow; the norm itself, about 1.6e160, does not
         sym = tmp_path / "huge.json"
@@ -898,6 +972,15 @@ class TestSawtoothDemo:
         assert run_cli("sawtooth-demo", "--sizes", "64,1024", "--out", budgeted) == 1
         growth = json.loads(plain.read_text())["growth_factor"]
         assert abs(json.loads(budgeted.read_text())["growth_factor"] - growth) <= 1e-12
+
+    def test_csv_table(self, tmp_path):
+        table, data = tmp_path / "saw.csv", tmp_path / "saw.json"
+        assert run_cli("sawtooth-demo", "--sizes", "8,256", "--format", "csv", "--out", table) == 0
+        assert run_cli("sawtooth-demo", "--sizes", "8,256", "--out", data) == 0
+        norms = json.loads(data.read_text())["norms"]
+        assert table.read_text() == "N,operator_norm\n" + "".join(
+            f"{e['N']},{e['operator_norm']:.17g}\n" for e in norms
+        )
 
     def test_budget_too_small_for_the_basis(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")

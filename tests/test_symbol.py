@@ -248,7 +248,7 @@ class TestJsonFormat:
 
     def test_one_walk_keeps_the_constructor_semantics(self):
         entries = [{"n": 4, "re": 0.5}, {"n": -3, "im": -2.0}, {"n": 0, "re": 0.0, "im": -0.0},
-                   {"n": 7.0, "re": 1, "im": 2}]
+                   {"n": 7, "re": 1, "im": 2}]
         phi = FourierSymbol.from_json_dict({"coefficients": entries})
         pairs = [(e["n"], complex(e.get("re", 0.0), e.get("im", 0.0))) for e in entries]
         assert phi == FourierSymbol.from_coefficients(pairs)
@@ -257,10 +257,11 @@ class TestJsonFormat:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({}, "bad symbol JSON: 'coefficients'"),
-            ({"coefficients": [{"n": 0}, {"re": 1.0}]}, "bad symbol JSON: 'n'"),
+            ({}, "bad symbol JSON: field 'coefficients' must be a list of objects"),
+            ({"coefficients": [{"n": 0}, {"re": 1.0}]},
+             "bad symbol JSON: field 'n' of coefficients[1] is missing"),
             ({"coefficients": [{"n": 0, "re": "x"}]},
-             "bad symbol JSON: could not convert string to float: 'x'"),
+             'bad symbol JSON: field \'re\' of coefficient n=0 must be a JSON number, not "x"'),
             ({"coefficients": [{"n": 0, "re": 1.0}, {"n": 2, "re": math.nan}]},
              "bad symbol JSON: field 're' of coefficient n=2 is not finite (nan)"),
             ({"coefficients": [{"n": 1, "re": 1.0, "im": -math.inf}]},
@@ -270,9 +271,36 @@ class TestJsonFormat:
             # a zero value is dropped, but its index still counts
             ({"coefficients": [{"n": 1, "re": 0.0}, {"n": 1, "re": 2.0}]},
              "duplicate coefficient index 1"),
+            # an index is a JSON integer: not a float, even a whole one, nor a bool
+            ({"coefficients": [{"n": 1.5, "re": 1.0}]},
+             "bad symbol JSON: field 'n' of coefficients[0] must be a JSON integer, not 1.5"),
+            ({"coefficients": [{"n": 0, "re": 1.0}, {"n": 7.0}]},
+             "bad symbol JSON: field 'n' of coefficients[1] must be a JSON integer, not 7.0"),
+            ({"coefficients": [{"n": True, "re": 1.0}]},
+             "bad symbol JSON: field 'n' of coefficients[0] must be a JSON integer, not true"),
+            ({"coefficients": [{"n": "2", "re": 1.0}]},
+             'bad symbol JSON: field \'n\' of coefficients[0] must be a JSON integer, not "2"'),
+            ({"coefficients": [{"n": None}]},
+             "bad symbol JSON: field 'n' of coefficients[0] must be a JSON integer, not null"),
+            # a value is a JSON number: not a string, nor a bool
+            ({"coefficients": [{"n": 2, "re": "1e0"}]},
+             'bad symbol JSON: field \'re\' of coefficient n=2 must be a JSON number, not "1e0"'),
+            ({"coefficients": [{"n": 2, "re": 1.0, "im": False}]},
+             "bad symbol JSON: field 'im' of coefficient n=2 must be a JSON number, not false"),
+            ({"coefficients": [{"n": 0, "re": 10**400}]},
+             "bad symbol JSON: field 're' of coefficient n=0 lies outside the float range"),
+            # the structure around the entries
+            ({"coefficients": {"0": {"re": 1.0}}},
+             "bad symbol JSON: field 'coefficients' must be a list of objects"),
+            ({"coefficients": [{"n": 0, "re": 1.0}, [1, 1.0]]},
+             "bad symbol JSON: coefficients[1] must be an object"),
+            ([{"n": 0, "re": 1.0}],
+             "bad symbol JSON: field 'coefficients' must be a list of objects"),
         ],
         ids=["no-coefficients", "no-index", "bad-float", "nan-re", "inf-im", "duplicate",
-             "duplicate-of-zero"],
+             "duplicate-of-zero", "float-index", "whole-float-index", "bool-index",
+             "string-index", "null-index", "string-value", "bool-value", "huge-int-value",
+             "coefficients-object", "entry-list", "top-level-list"],
     )
     def test_each_fault_keeps_its_message(self, data, message):
         with pytest.raises(ValueError) as info:
