@@ -133,8 +133,7 @@ def _validate(args: argparse.Namespace) -> None:
     lam = getattr(args, "lam", 0.0)
     if not cmath.isfinite(lam):
         raise CliInputError("--lambda-re and --lambda-im must be finite")
-    if abs(lam) > 1.0 + symbol_mod.UNIT_CIRCLE_TOL:
-        raise CliInputError(f"|lambda| = {abs(lam)} lies outside the closed unit disc")
+    operator._disc_point("lambda", lam)
 
 
 def _load_symbol(args: argparse.Namespace) -> symbol_mod.FourierSymbol:
@@ -162,11 +161,14 @@ def _single_size(args: argparse.Namespace) -> int:
 
 def _charge_grid(args: argparse.Namespace, points: int, grids: int) -> None:
     """Refuse a quadrature that holds ``grids`` complex arrays of ``points``
-    points at once past the memory budget."""
+    points at once past the memory budget, naming what set ``points``:
+    ``--grid-size``, or the symbol's 2K + 1 points where they exceed it."""
     budget, need_mb = operator.resolve_budget_mb(), grids * points * 16 / 2**20
     if need_mb > budget:
+        source = (f"--grid-size {args.grid_size}" if points == args.grid_size
+                  else f"the symbol's largest |n| = {points // 2}")
         raise CliInputError(
-            f"--grid-size {args.grid_size} needs {need_mb:.1f} MB for {grids} complex grids "
+            f"{source} needs {need_mb:.1f} MB for {grids} complex grids "
             f"of {points} points; budget {budget:g} MB ({operator.MEM_BUDGET_ENV})"
         )
 

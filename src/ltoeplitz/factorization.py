@@ -8,7 +8,6 @@ lambda-Toeplitz truncation is verified as an entrywise residual.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,11 +18,12 @@ from .operator import (
     TruncatedOperator,
     _bands,
     _checked_size,
+    _disc_point,
     _unit_scaled,
     powers,
     truncate,
 )
-from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, is_unimodular
+from .symbol import FourierSymbol, is_unimodular
 
 __all__ = [
     "DEFAULT_UNITARY_TOL",
@@ -38,7 +38,6 @@ __all__ = [
     "verify_wco_sum",
     "verify_toeplitz_comp_factorization",
     "kernel_hs_norm",
-    "wco_hs_norm_closed_form",
 ]
 
 DEFAULT_UNITARY_TOL = 1e-12
@@ -58,15 +57,10 @@ class WeightedCompositionSpec:
     multiplier: complex
 
     def __post_init__(self):
-        c = complex(self.multiplier)
-        if not cmath.isfinite(c):
-            raise ValueError(f"multiplier = {c!r} is not finite")
-        if abs(c) > 1.0 + UNIT_CIRCLE_TOL:
-            raise ValueError(f"|multiplier| = {abs(c)} lies outside the closed unit disc")
+        object.__setattr__(self, "multiplier", _disc_point("multiplier", self.multiplier))
         negative = [n for n in self.weight.support if n < 0]
         if negative:
             raise ValueError(f"weight must be analytic; found index {negative[0]}")
-        object.__setattr__(self, "multiplier", c)
 
 
 @dataclass(frozen=True)
@@ -276,10 +270,3 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
     psi = weight.evaluate_on_grid(circulant.size)
     total = np.vdot(psi, psi).real * np.vdot(circulant, circulant).real
     return math.sqrt(total) / circulant.size / scale
-
-
-def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:
-    c = abs(w.multiplier)
-    if c >= 1.0:
-        raise ValueError("closed form requires |multiplier| < 1")
-    return w.weight.l2_norm() / math.sqrt(1.0 - c * c)

@@ -90,6 +90,16 @@ def powers(base: complex, count: int) -> np.ndarray:
     return out
 
 
+def _disc_point(name: str, value: complex) -> complex:
+    """``complex(value)``, refused unless finite and in the closed unit disc."""
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} = {z!r} is not finite")
+    if abs(z) > 1.0 + UNIT_CIRCLE_TOL:
+        raise ValueError(f"|{name}| = {abs(z)} lies outside the closed unit disc")
+    return z
+
+
 @dataclass(frozen=True)
 class LambdaToeplitzSpec:
     """Parameter pair (lambda, symbol) with |lambda| <= 1."""
@@ -98,12 +108,7 @@ class LambdaToeplitzSpec:
     symbol: FourierSymbol
 
     def __post_init__(self):
-        lam = complex(self.lam)
-        if not cmath.isfinite(lam):
-            raise ValueError(f"lambda = {lam!r} is not finite")
-        if abs(lam) > 1.0 + UNIT_CIRCLE_TOL:
-            raise ValueError(f"|lambda| = {abs(lam)} lies outside the closed unit disc")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _disc_point("lambda", self.lam))
 
     def describe(self) -> str:
         return f"lambda={self.lam!r} support={list(self.symbol.support)}"

@@ -73,6 +73,7 @@ __all__ = [
     "operator_norm",
     "top_singular_value",
     "hs_norm_closed_form",
+    "wco_hs_norm_closed_form",
     "norm_convergence_study",
     "sawtooth_growth_study",
     "trace_norm_bound_check",
@@ -202,6 +203,7 @@ def _start_bytes(count: int, chunk: int = 2**24) -> bytearray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is the ValueError below
 def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     """sigma_1 of the N x N truncation, matrix-free, to a certified residual.
 
@@ -217,8 +219,9 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
 
     A zero truncation breaks down at step 1 and gives 0.0. The two bases
     (2 k N complex entries) are charged against ``LT_MEM_BUDGET_MB``; a step
-    that would exceed it raises ``MemoryBudgetExceeded``. N steps without
-    the certificate raise ``SpectralDecompositionError``.
+    that would exceed it raises ``MemoryBudgetExceeded``. A product that
+    overflows raises ``ValueError``. N steps without the certificate raise
+    ``SpectralDecompositionError``.
     """
     n = _checked_size(size)
     budget = resolve_budget_mb()
@@ -254,6 +257,8 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
         u = _orthogonalize(u, left[: k - 1])
         alpha = float(np.linalg.norm(u))
         alphas.append(alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"matrix-free product at N={n} is not finite")
         if alpha == 0.0:
             # A maps the Krylov space into span(U_{k-1}): an invariant
             # subspace, whose top singular value B_k holds exactly.
@@ -264,7 +269,7 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
         w = _orthogonalize(w, right[:k])
         beta = float(np.linalg.norm(w))
         betas.append(beta)
-        if not math.isfinite(alpha + beta):
+        if not math.isfinite(beta):
             raise ValueError(f"matrix-free product at N={n} is not finite")
         if k >= check or beta == 0.0 or k == n:
             sigma, last = _top_ritz(alphas, betas)
@@ -316,7 +321,8 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
     T[M:, M:] is lambda^M T_{N-M}, of Frobenius norm at most
     |lambda|^M l2_norm(phi) / sqrt(1 - |lambda|^2) (bands |d| < N), and the
     norm c of column 0 or row 0 is at most sigma_1. M is the least index
-    with that bound <= eps * c, from scaled coefficients in O(K), with
+    with that bound <= eps * c, from coefficients scaled to at most 1 in
+    O(K), whose norm (at most sqrt(2K)) is always finite, with
     |lambda| raised by 4 eps to cover the rounding of each power. Dropping
     the tail moves each sigma_i by at most eps * sigma_1 (Weyl). For bands
     on -q..p the rest is zero outside its leading (M + p) x (M + q) block,
@@ -329,8 +335,6 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
     scaled, _ = _unit_scaled(spec.symbol, n)
     analytic, coanalytic = scaled.analytic_part().l2_norm(), scaled.coanalytic_part().l2_norm()
     phi = math.hypot(analytic, coanalytic)
-    if not math.isfinite(phi):
-        raise ValueError(f"truncation N={n} has non-finite entries")
     m = 1  # enough for lambda = 0 and for the zero truncation
     if phi > 0.0 and grown > 0.0:
         c = max(analytic, math.hypot(abs(scaled.coefficient(0)), coanalytic))
@@ -390,6 +394,12 @@ def hs_norm_closed_form(spec: LambdaToeplitzSpec) -> float:
     if mod >= 1.0:
         raise ValueError("Hilbert-Schmidt closed form requires |lambda| < 1")
     return spec.symbol.l2_norm() / math.sqrt(1.0 - mod * mod)
+
+
+def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:
+    """Hilbert-Schmidt norm of W(psi, c), the operator of (c, psi):
+    l2_norm(weight) / sqrt(1 - |multiplier|^2)."""
+    return hs_norm_closed_form(LambdaToeplitzSpec(w.multiplier, w.weight))
 
 
 def norm_convergence_study(

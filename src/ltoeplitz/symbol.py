@@ -8,10 +8,12 @@ between threads and operator specs.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
-from typing import Iterable, Iterator, Mapping, Tuple
+from operator import index as _as_index
+from typing import Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -39,33 +41,27 @@ def is_unimodular(value: complex, tol: float = UNIT_CIRCLE_TOL) -> bool:
 class FourierSymbol:
     """Finitely supported coefficient sequence ``{n: a_n}``.
 
-    Zero-valued coefficients are dropped from storage; ``coefficient``
-    returns 0 for every index off the stored support.
+    Each index is an integer (``int`` or a numpy integer, not ``1.5``) and
+    each value a finite complex number; the constructor refuses anything
+    else, naming the index. Zero-valued coefficients are dropped from
+    storage; ``coefficient`` returns 0 for every index off the stored support.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[int, complex] | None = None):
         coeffs: dict[int, complex] = {}
-        if coefficients:
-            for index, value in coefficients.items():
-                value = complex(value)
-                if value != 0:
-                    coeffs[int(index)] = value
+        for index, value in (coefficients or {}).items():
+            try:
+                n = _as_index(index)
+            except TypeError:
+                raise ValueError(f"coefficient index {index!r} is not an integer") from None
+            value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient a_{n} = {value!r} is not finite")
+            if value != 0:
+                coeffs[n] = value
         self._coeffs = coeffs
-
-    @classmethod
-    def from_coefficients(cls, entries: Iterable[Tuple[int, complex]]) -> "FourierSymbol":
-        """Build a symbol from ``(index, value)`` pairs with distinct indices."""
-        coeffs: dict[int, complex] = {}
-        seen: set[int] = set()
-        for index, value in entries:
-            index = int(index)
-            if index in seen:
-                raise ValueError(f"duplicate coefficient index {index}")
-            seen.add(index)
-            coeffs[index] = complex(value)
-        return cls(coeffs)
 
     # -- accessors ---------------------------------------------------------
 
@@ -95,12 +91,6 @@ class FourierSymbol:
 
     def __hash__(self):
         return hash(tuple(sorted(self._coeffs.items())))
-
-    def __add__(self, other: "FourierSymbol") -> "FourierSymbol":
-        merged = dict(self._coeffs)
-        for index, value in other._coeffs.items():
-            merged[index] = merged.get(index, 0j) + value
-        return FourierSymbol(merged)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{n}: {v:.4g}" for n, v in self.items())
@@ -186,10 +176,11 @@ class FourierSymbol:
         """The symbol of ``{"coefficients": [{"n": ..., "re": ..., "im": ...}, ...]}``.
 
         ``n`` must be a JSON integer and ``re`` and ``im``, each 0 when
-        absent, JSON numbers; a bool or a string is neither. One walk over
-        the entries checks each, that it is finite and that its index is
-        new, and stores it; zero values are dropped afterwards, as
-        ``__init__`` drops them. A fault names its field and its entry.
+        absent, JSON numbers; a bool or a string is neither, and an entry
+        has no other field. One walk over the entries checks each, that it
+        is finite and that its index is new, and stores it; zero values are
+        dropped afterwards, as ``__init__`` drops them. A fault names its
+        field and its entry.
         """
         entries = data.get("coefficients") if isinstance(data, Mapping) else None
         if type(entries) is not list:
@@ -204,6 +195,10 @@ class FourierSymbol:
                 if "n" in e:
                     what = f"must be a JSON integer, not {json.dumps(n, default=repr)}"
                 raise ValueError(f"bad symbol JSON: field 'n' of coefficients[{i}] {what}")
+            if len(e) > 1 + ("re" in e) + ("im" in e):
+                field = next(k for k in e if k not in ("n", "re", "im"))
+                raise ValueError(f"bad symbol JSON: coefficients[{i}] has unknown field {field!r}; "
+                                 "an entry holds only 'n', 're' and 'im'")
             if not (type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS
                     and -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX):
                 raise ValueError(f"bad symbol JSON: {_part_fault(n, re, im)}")

@@ -21,7 +21,7 @@ def symbols(draw, max_index=6, max_terms=5, analytic=False):
     values = draw(
         st.lists(coefficient_values, min_size=len(indices), max_size=len(indices))
     )
-    return FourierSymbol.from_coefficients(list(zip(indices, values)))
+    return FourierSymbol(dict(zip(indices, values)))
 
 
 unimodular_lambdas = st.floats(

@@ -340,15 +340,23 @@ class TestBoundaryInput:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "args, symbol, points, grids",
-        [(("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "32768"), None, 32768, 3),
-         (("norms", "--lambda-re", "1", "--grid-size", "65536"), None, 65536, 2),
-         # the ramp on -K..K, K = 20000, is evaluated on 2K + 1 points, not 64
-         (("norms", "--lambda-re", "-1", "--grid-size", "64"), sawtooth(20000), 40001, 2)],
-        ids=["hsnorm", "norms", "norms-ramp"],
+        "args, symbol, points, grids, source",
+        [(("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "32768"), None, 32768, 3,
+          "--grid-size 32768"),
+         (("norms", "--lambda-re", "1", "--grid-size", "65536"), None, 65536, 2,
+          "--grid-size 65536"),
+         # the ramp on -K..K, K = 20000, is evaluated on 2K + 1 points, not 64:
+         # the symbol sets the grid, not the flag
+         (("norms", "--lambda-re", "-1", "--grid-size", "64"), sawtooth(20000), 40001, 2,
+          "the symbol's largest |n| = 20000"),
+         (("norms", "--lambda-re", "-1"), sawtooth(20000), 40001, 2,
+          "the symbol's largest |n| = 20000"),
+         (("norms", "--lambda-re", "1"), FourierSymbol({0: 1.0, 10**20: 1.0}), 2 * 10**20 + 1, 2,
+          "the symbol's largest |n| = 100000000000000000000")],
+        ids=["hsnorm", "norms", "norms-ramp", "norms-default-grid", "norms-huge-index"],
     )
     def test_grid_size_charges_every_grid_held_at_once(
-        self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids
+        self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids, source
     ):
         # one grid fits in 1 MB; the grids that are held together do not
         path = analytic_path
@@ -359,7 +367,7 @@ class TestBoundaryInput:
         assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         need = grids * points * 16 / 2**20
         assert capsys.readouterr().err == (
-            f"error: {args[-2]} {args[-1]} needs {need:.1f} MB for {grids} complex grids "
+            f"error: {source} needs {need:.1f} MB for {grids} complex grids "
             f"of {points} points; budget 1 MB (LT_MEM_BUDGET_MB)\n"
         )
 
@@ -393,8 +401,11 @@ class TestBoundaryInput:
          ('{"coefficients": [{"n": 2, "re": "1e0"}]}',
           'field \'re\' of coefficient n=2 must be a JSON number, not "1e0"'),
          ('{"coefficients": {"0": {"re": 1.0}}}',
-          "field 'coefficients' must be a list of objects")],
-        ids=["float-index", "bool-index", "string-index", "string-value", "coefficients-object"],
+          "field 'coefficients' must be a list of objects"),
+         ('{"coefficients": [{"n": 1, "real": 2.0}, {"n": 0, "re": 1.0}]}',
+          "coefficients[0] has unknown field 'real'; an entry holds only 'n', 're' and 'im'")],
+        ids=["float-index", "bool-index", "string-index", "string-value", "coefficients-object",
+             "unknown-field"],
     )
     def test_symbol_file_types(self, tmp_path, capsys, text, message):
         sym = tmp_path / "sym.json"

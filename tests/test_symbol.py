@@ -21,19 +21,21 @@ def ramp_coefficient_oracle(n):
 
 
 class TestFromCoefficients:
+    """The constructor: a mapping of integer indices to finite values."""
+
     def test_constant(self):
-        phi = FourierSymbol.from_coefficients([(0, 1)])
+        phi = FourierSymbol({0: 1})
         assert phi.coefficient(0) == 1
         assert phi.support == (0,)
 
     def test_two_cos(self):
-        phi = FourierSymbol.from_coefficients([(1, 1), (-1, 1)])
+        phi = FourierSymbol({1: 1, -1: 1})
         assert phi.coefficient(1) == 1
         assert phi.coefficient(-1) == 1
         assert phi.coefficient(2) == 0
 
     def test_empty_is_zero(self):
-        phi = FourierSymbol.from_coefficients([])
+        phi = FourierSymbol({})
         assert phi.is_zero
         assert phi.l2_norm() == 0.0
 
@@ -43,12 +45,31 @@ class TestFromCoefficients:
         assert math.isclose(phi.l2_norm(), 5.0 * scale, rel_tol=1e-15)
 
     def test_zero_values_dropped(self):
-        phi = FourierSymbol.from_coefficients([(3, 0.0), (1, 2.0)])
+        phi = FourierSymbol({3: 0.0, 1: 2.0})
         assert phi.support == (1,)
 
-    def test_duplicate_index_rejected(self):
-        with pytest.raises(ValueError, match="3"):
-            FourierSymbol.from_coefficients([(3, 1.0), (3, 2.0)])
+    def test_numpy_integer_index(self):
+        phi = FourierSymbol({np.int64(3): 1.0, np.int32(-2): 2.0})
+        assert phi.support == (-2, 3)
+        assert all(type(n) is int for n in phi.support)
+        assert phi == FourierSymbol({3: 1.0, -2: 2.0})
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [({1: complex(math.nan, 0.0)}, "coefficient a_1 = (nan+0j) is not finite"),
+         ({0: complex(0.0, -math.inf)}, "coefficient a_0 = -infj is not finite"),
+         # the two symbols svd_study once refused at N=256, now refused here
+         ({0: 1.0, 1: np.nan}, "coefficient a_1 = (nan+0j) is not finite"),
+         ({0: 1.0, 1: np.inf}, "coefficient a_1 = (inf+0j) is not finite"),
+         ({1.5: 1.0}, "coefficient index 1.5 is not an integer"),
+         ({0: 1.0, "2": 1.0}, "coefficient index '2' is not an integer")],
+        ids=["nan-re", "inf-im", "nan-after-finite", "inf-after-finite", "float-index",
+             "string-index"],
+    )
+    def test_bad_coefficient_names_its_index(self, coefficients, message):
+        with pytest.raises(ValueError) as info:
+            FourierSymbol(coefficients)
+        assert str(info.value) == message
 
 
 class TestFromSamples:
@@ -117,7 +138,9 @@ class TestProjections:
 
     @given(symbols())
     def test_partition_reconstructs(self, phi):
-        assert phi.analytic_part() + phi.coanalytic_part() == phi
+        plus, minus = dict(phi.analytic_part().items()), dict(phi.coanalytic_part().items())
+        assert not plus.keys() & minus.keys()
+        assert FourierSymbol({**plus, **minus}) == phi
 
     @given(symbols())
     def test_parseval_split(self, phi):
@@ -251,7 +274,7 @@ class TestJsonFormat:
                    {"n": 7, "re": 1, "im": 2}]
         phi = FourierSymbol.from_json_dict({"coefficients": entries})
         pairs = [(e["n"], complex(e.get("re", 0.0), e.get("im", 0.0))) for e in entries]
-        assert phi == FourierSymbol.from_coefficients(pairs)
+        assert phi == FourierSymbol(dict(pairs))
         assert phi.support == (-3, 4, 7)
 
     @pytest.mark.parametrize(
@@ -294,13 +317,21 @@ class TestJsonFormat:
              "bad symbol JSON: field 'coefficients' must be a list of objects"),
             ({"coefficients": [{"n": 0, "re": 1.0}, [1, 1.0]]},
              "bad symbol JSON: coefficients[1] must be an object"),
+            # a misspelt field would otherwise read as a zero coefficient
+            ({"coefficients": [{"n": 0, "re": 1.0}, {"n": 1, "real": 2.0}]},
+             "bad symbol JSON: coefficients[1] has unknown field 'real'; "
+             "an entry holds only 'n', 're' and 'im'"),
+            ({"coefficients": [{"n": 0, "re": 1.0, "im": 0.0, "Im": 1.0}]},
+             "bad symbol JSON: coefficients[0] has unknown field 'Im'; "
+             "an entry holds only 'n', 're' and 'im'"),
             ([{"n": 0, "re": 1.0}],
              "bad symbol JSON: field 'coefficients' must be a list of objects"),
         ],
         ids=["no-coefficients", "no-index", "bad-float", "nan-re", "inf-im", "duplicate",
              "duplicate-of-zero", "float-index", "whole-float-index", "bool-index",
              "string-index", "null-index", "string-value", "bool-value", "huge-int-value",
-             "coefficients-object", "entry-list", "top-level-list"],
+             "coefficients-object", "entry-list", "unknown-field", "unknown-field-with-all-three",
+             "top-level-list"],
     )
     def test_each_fault_keeps_its_message(self, data, message):
         with pytest.raises(ValueError) as info:
