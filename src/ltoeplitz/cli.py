@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -74,9 +73,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     spec.add_argument("--symbol", dest="symbol_path", help="path to a symbol JSON file")
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--sizes", default="64", help="comma-separated ascending truncation sizes")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", dest="tolerance", type=float,
-                     help="verification tolerance (the check's own default when omitted)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", dest="output_path", help="output file (stdout when omitted)")
     output.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
@@ -96,10 +92,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_hs = sub.add_parser("hsnorm", parents=[spec, sizes, output], help="Hilbert-Schmidt norm: closed form vs truncations")
     p_hs.add_argument("--wco", action="store_true", help="also estimate the norm by kernel quadrature (analytic symbol)")
     p_hs.add_argument("--grid-size", dest="grid_size", type=int, default=1024)
-    p_verify = sub.add_parser("verify", parents=[spec, sizes, tol, output], help="residual check of one factorization identity")
+    p_verify = sub.add_parser("verify", parents=[spec, sizes, output], help="residual check of one factorization identity")
     p_verify.add_argument("--identity", choices=IDENTITIES, required=True)
     sub.add_parser("rank", parents=[spec, sizes, output, rank_tol], help="numerical rank per size")
-    sub.add_parser("spectrum", parents=[spec, sizes, tol, output], help="weighted-composition spectrum check (multiplier = lambda)")
+    sub.add_parser("spectrum", parents=[spec, sizes, output], help="weighted-composition spectrum check (multiplier = lambda)")
     p_norms = sub.add_parser("norms", parents=[spec, sizes, output], help="truncation norm convergence for |lambda| = 1")
     p_norms.add_argument("--grid-size", dest="grid_size", type=int, default=4096)
     p_solve = sub.add_parser("solve-recurrence", parents=[spec, sizes, output], help="rebuild a truncation from its borders")
@@ -124,8 +120,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    if getattr(args, "tolerance", None) is not None and not 0 < args.tolerance < math.inf:
-        raise CliInputError("--tol must be positive and finite")
     if not 0.0 < getattr(args, "rank_tol", 0.5) < 1.0:
         raise CliInputError("--rank-tol must lie in (0, 1)")
     if getattr(args, "grid_size", 1) < 1:
@@ -193,11 +187,6 @@ def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
         print(summary)
 
 
-def _tol(args: argparse.Namespace) -> dict:
-    """``tol=`` for the library when ``--tol`` is given; else its own default stands."""
-    return {} if args.tolerance is None else {"tol": args.tolerance}
-
-
 # -- command handlers ----------------------------------------------------------
 
 
@@ -247,13 +236,13 @@ def _cmd_svd(args: argparse.Namespace) -> int:
 
 def _cmd_hsnorm(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
+    closed = spectral.hs_norm_closed_form(spec)  # refuses |lambda| = 1 before a grid is sized
     if args.wco:
         try:
             w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
         except ValueError as exc:
             raise CliInputError(f"--wco: {exc}") from exc
         _charge_grid(args, args.grid_size, grids=3)  # kernel_hs_norm's circulant, fold and FFT
-    closed = spectral.hs_norm_closed_form(spec)
     truncations = [
         {"N": n, "frobenius": spectral.frobenius_norm(spec, n)} for n in args.sizes
     ]
@@ -285,15 +274,14 @@ def _emit_verifications(args: argparse.Namespace, results, gate) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
-    tol = _tol(args)
     results = []
     for n in args.sizes:
         if args.identity == "unitary":
-            results.append(factorization.verify_unitary_factorization(spec, n, **tol))
+            results.append(factorization.verify_unitary_factorization(spec, n))
         elif args.identity == "wco-sum":
-            results.append(factorization.verify_wco_sum(spec, n, **tol))
+            results.append(factorization.verify_wco_sum(spec, n))
         else:
-            results.extend(factorization.verify_toeplitz_comp_factorization(spec, n, **tol))
+            results.extend(factorization.verify_toeplitz_comp_factorization(spec, n))
     # The as-stated toeplitz-comp residual is a diagnostic report, not a gate.
     gate = lambda r: not (r.identity == "toeplitz-comp" and r.variant == "as-stated")
     return _emit_verifications(args, results, gate)
@@ -311,16 +299,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
     except ValueError as exc:
         raise CliInputError(f"{args.symbol_path}: {exc}") from exc
-    results = [spectral.wco_spectrum_check(w, n, **_tol(args)) for n in args.sizes]
+    results = [spectral.wco_spectrum_check(w, n) for n in args.sizes]
     return _emit_verifications(args, results, gate=lambda r: True)
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
     twisted = spec.symbol.twist_plus(spec.lam)
+    study = spectral.norm_convergence_study(spec, args.sizes)  # refuses |lambda| != 1 before any grid
     grid = max(args.grid_size, 2 * twisted.max_abs_index + 1)
     _charge_grid(args, grid, grids=2)  # evaluate_on_grid's fold and FFT
-    study = spectral.norm_convergence_study(spec, args.sizes)
     target = twisted.sup_norm_estimate(grid)
     _write(
         args,

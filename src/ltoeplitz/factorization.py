@@ -1,9 +1,9 @@
 """Companion operators and residual checks for the factorization identities.
 
-Builds the diagonal unitary, classical Toeplitz truncations, weighted
-composition operators with linear multiplier tau(z) = c z, and the
-integral-operator kernels on the torus grid; each identity tying them to the
-lambda-Toeplitz truncation is verified as an entrywise residual.
+Builds the diagonal unitary, classical Toeplitz truncations and weighted
+composition operators with linear multiplier tau(z) = c z, verifies each
+identity tying them to the lambda-Toeplitz truncation as an entrywise
+residual, and estimates the Hilbert-Schmidt norm of W by kernel quadrature.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = [
     "kernel_hs_norm",
 ]
 
+# Relative tolerances: each identity check compares its residual on s * phi
+# with one, s the power of two of ``_unit_scaled`` that puts phi's largest part near 1.
 DEFAULT_UNITARY_TOL = 1e-12
 DEFAULT_WCO_SUM_TOL = 1e-14
 DEFAULT_TOEPLITZ_COMP_TOL = 1e-14
@@ -65,6 +67,11 @@ class WeightedCompositionSpec:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """The identity checks give ``residual`` and ``tolerance`` in the units of
+    the matrix entries (their values on s * phi divided by s); ``wco-spectrum``
+    relative errors; ``trace-norm-bound`` the trace norm's excess over its
+    majorant, in units of the singular values, and the slack."""
+
     identity: str
     size: int
     residual: float
@@ -132,9 +139,13 @@ def _band_residual(lhs, rhs) -> float:
     return float(np.max(peaks))
 
 
-def verify_unitary_factorization(
-    spec: LambdaToeplitzSpec, size: int, tol: float = DEFAULT_UNITARY_TOL
-) -> VerificationResult:
+def _scaled_result(identity, size, residual, tol, scale, variant=None) -> VerificationResult:
+    """Passes when the residual on ``scale`` * phi is at most the relative ``tol``;
+    reports both divided by ``scale``, exactly for every normal float."""
+    return VerificationResult(identity, size, residual / scale, tol / scale, residual <= tol, variant)
+
+
+def verify_unitary_factorization(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
     """Residual of truncation == diag(lambda^n) * Toeplitz(twist_plus(phi, lambda)).
 
     Valid for |lambda| = 1 only; the product of truncations equals the
@@ -143,20 +154,16 @@ def verify_unitary_factorization(
     if not is_unimodular(spec.lam):
         raise ValueError("unitary factorization requires |lambda| = 1")
     n = _checked_size(size)
-    pows = powers(spec.lam, n)
+    symbol, scale = _unit_scaled(spec.symbol, n)
+    pows, twisted = powers(spec.lam, n), symbol.twist_plus(spec.lam)
     # row i scaled by lambda^i, powers on the left: swapped complex products
     # round differently
-    rhs = (
-        (d, pows[max(d, 0) :][: band.size] * band)
-        for d, band in _bands(spec.symbol.twist_plus(spec.lam), n, 1.0)
-    )
-    residual = _band_residual(_bands(spec.symbol, n, spec.lam), rhs)
-    return VerificationResult("unitary", n, residual, tol, residual <= tol)
+    rhs = ((d, pows[max(d, 0) :][: band.size] * band) for d, band in _bands(twisted, n, 1.0))
+    residual = _band_residual(_bands(symbol, n, spec.lam), rhs)
+    return _scaled_result("unitary", n, residual, DEFAULT_UNITARY_TOL, scale)
 
 
-def verify_wco_sum(
-    spec: LambdaToeplitzSpec, size: int, tol: float = DEFAULT_WCO_SUM_TOL
-) -> VerificationResult:
+def verify_wco_sum(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
     """Residual of truncation == W(phi_plus, lambda) + W(flip(phi_minus), conj(lambda))^*.
 
     The first summand fills the lower triangle, the adjoint of the second the
@@ -168,7 +175,8 @@ def verify_wco_sum(
     """
     n = _checked_size(size)
     lam = spec.lam
-    plus, minus = spec.symbol.analytic_part(), spec.symbol.coanalytic_part()
+    symbol, scale = _unit_scaled(spec.symbol, n)
+    plus, minus = symbol.analytic_part(), symbol.coanalytic_part()
     # Below the diagonal the truncation's bands are W(phi_plus, lambda)'s by
     # definition, the same products on both sides: only a band that is not
     # finite makes them differ, giving NaN as the dense difference did.
@@ -178,18 +186,17 @@ def verify_wco_sum(
         ((k, band.conj()) for k, band in _bands(minus.conjugate_flip(), n, lam.conjugate())),
     )
     residual = float(np.maximum(lower, upper))
-    return VerificationResult("wco-sum", n, residual, tol, residual <= tol)
+    return _scaled_result("wco-sum", n, residual, DEFAULT_WCO_SUM_TOL, scale)
 
 
-def _tilde_symbol(spec: LambdaToeplitzSpec, size: int, exponent_sign: int, variant: str):
-    """phi with a_k scaled by lambda^(exponent_sign * k) for -N < k < 0.
+def _tilde_symbol(symbol: FourierSymbol, lam: complex, exponent_sign: int, variant: str):
+    """phi with a_k scaled by lambda^(exponent_sign * k) for k < 0.
 
-    Bands k <= -N miss the truncation, so their powers are never taken.
+    For real lambda the power is real, so a finite power times parts below
+    1 stays finite: only the power itself can overflow.
     """
-    lam, coeffs = spec.lam, {}
-    for k, v in spec.symbol.items():
-        if k <= -size:
-            continue
+    coeffs = {}
+    for k, v in symbol.items():
         if k < 0:
             try:
                 v = (lam ** (exponent_sign * k)) * v
@@ -203,7 +210,7 @@ def _tilde_symbol(spec: LambdaToeplitzSpec, size: int, exponent_sign: int, varia
 
 
 def verify_toeplitz_comp_factorization(
-    spec: LambdaToeplitzSpec, size: int, tol: float = DEFAULT_TOEPLITZ_COMP_TOL
+    spec: LambdaToeplitzSpec, size: int
 ) -> tuple[VerificationResult, VerificationResult]:
     """Diagnostic for truncation == Toeplitz(phi_tilde) * diag(lambda^m), real 0 < lambda < 1.
 
@@ -212,26 +219,23 @@ def verify_toeplitz_comp_factorization(
     (forced by matching entries above the diagonal). Callers should treat the
     as-stated result as a report, not a gate; the two variants agree whenever
     the symbol is analytic. A lambda^{-|n|} beyond the float range raises
-    ``ValueError`` naming n and lambda.
+    ``ValueError`` naming n and lambda; only bands |n| < N are dilated.
     """
     lam = spec.lam
     if lam.imag != 0.0 or not 0.0 < lam.real < 1.0:
         raise ValueError("toeplitz-comp factorization needs real lambda in (0, 1)")
     n = _checked_size(size)
+    symbol, scale = _unit_scaled(spec.symbol, n)
     pows = powers(lam, n)
 
     results = []
     for variant, exponent_sign in (("as-stated", -1), ("corrected", +1)):
-        tilde = _tilde_symbol(spec, n, exponent_sign, variant)
+        tilde = _tilde_symbol(symbol, lam, exponent_sign, variant)
         # column j scaled by lambda^j, on the right
-        rhs = (
-            (d, band * pows[max(-d, 0) :][: band.size])
-            for d, band in _bands(tilde, n, 1.0)
-        )
-        residual = _band_residual(_bands(spec.symbol, n, lam), rhs)
-        results.append(
-            VerificationResult("toeplitz-comp", n, residual, tol, residual <= tol, variant)
-        )
+        rhs = ((d, band * pows[max(-d, 0) :][: band.size]) for d, band in _bands(tilde, n, 1.0))
+        residual = _band_residual(_bands(symbol, n, lam), rhs)
+        results.append(_scaled_result("toeplitz-comp", n, residual, DEFAULT_TOEPLITZ_COMP_TOL,
+                                      scale, variant))
     return tuple(results)
 
 

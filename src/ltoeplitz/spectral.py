@@ -83,6 +83,7 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-8
 TRACE_BOUND_SLACK = 1e-9
+_SPECTRUM_TOL = 1e-14  # relative error of each eigenvalue
 # Golub-Kahan-Lanczos stops once the top Ritz pair's residual is this small
 # relative to the Ritz value.
 KRYLOV_RTOL = 1e-13
@@ -445,9 +446,7 @@ def trace_norm_bound_check(
     )
 
 
-def wco_spectrum_check(
-    w: WeightedCompositionSpec, size: int, tol: float = 1e-14
-) -> VerificationResult:
+def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationResult:
     """Eigenvalues of the W truncation are exactly {multiplier^m * weight(0)}.
 
     The truncation is lower triangular, so its eigenvalues are read off the
@@ -471,12 +470,12 @@ def wco_spectrum_check(
     error = np.abs(diag - predicted)
     error[normal] /= magnitude[normal]
     residual = float(np.max(error))
-    ok = residual <= tol
+    ok = residual <= _SPECTRUM_TOL
     mod = abs(w.multiplier)
     if psi0 != 0 and 0.0 < mod < 1.0:
         points = predicted[normal]
         ok = ok and len(set(points.tolist())) == points.size
-    return VerificationResult("wco-spectrum", n, residual, tol, ok)
+    return VerificationResult("wco-spectrum", n, residual, _SPECTRUM_TOL, ok)
 
 
 def finite_rank_study(

@@ -120,11 +120,18 @@ class FourierSymbol:
         return FourierSymbol({-n: v.conjugate() for n, v in self._coeffs.items()})
 
     def twist_plus(self, lam: complex) -> "FourierSymbol":
-        """b_n = conj(lam)^n a_n for n >= 0 and b_n = a_n for n < 0."""
-        lbar = complex(lam).conjugate()
-        return FourierSymbol(
-            {n: (lbar**n) * v if n >= 0 else v for n, v in self._coeffs.items()}
-        )
+        """b_n = conj(lam)^n a_n for n >= 0 and b_n = a_n for n < 0; a b_n
+        beyond the float range raises ``ValueError`` naming n and lam."""
+        lbar, twisted = complex(lam).conjugate(), {}
+        for n, v in self._coeffs.items():
+            try:
+                b = twisted[n] = (lbar**n) * v if n >= 0 else v
+            except OverflowError:
+                b = math.inf
+            if not cmath.isfinite(b):
+                raise ValueError(
+                    f"twist_plus: conj(lambda)**{n} * a_{n} overflows at lambda={lam!r}")
+        return FourierSymbol(twisted)
 
     # -- norms and evaluation -----------------------------------------------
 

@@ -1,8 +1,11 @@
+import argparse
+import cmath
 import gc
 import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import pytest
 
 import ltoeplitz
 from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, sawtooth, truncate, write_symbol_file
-from ltoeplitz.cli import main, parse_args
+from ltoeplitz.cli import build_arg_parser, main, parse_args
 from ltoeplitz.output import Records, read_matrix_csv, read_vector_csv
 
 from conftest import peak_traced_mb
@@ -51,9 +54,9 @@ READS = {
     "apply": OPERATOR | OUTPUT,
     "svd": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
     "hsnorm": OPERATOR | {"--sizes"} | OUTPUT,
-    "verify": OPERATOR | {"--sizes", "--tol"} | OUTPUT,
+    "verify": OPERATOR | {"--sizes"} | OUTPUT,
     "rank": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
-    "spectrum": OPERATOR | {"--sizes", "--tol"} | OUTPUT,
+    "spectrum": OPERATOR | {"--sizes"} | OUTPUT,
     "norms": OPERATOR | {"--sizes"} | OUTPUT,
     "solve-recurrence": OPERATOR | {"--sizes"} | OUTPUT,
     "sawtooth-demo": {"--sizes"} | OUTPUT,
@@ -76,21 +79,46 @@ class TestFlagsPerCommand:
         err = capsys.readouterr().err
         assert f"error: unrecognized arguments: {flag} {FORMER_COMMON[flag]}" in err
 
+    def test_readme_flag_table_matches_the_parser(self):
+        # a cell that is not blank documents its column's flags and any it names itself
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| command |"))
+        table = [line.split("|")[1:-1]
+                 for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+        header, rows = table[0], table[2:]
+        (subparsers,) = (a for a in build_arg_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        mismatch = {}
+        for command, *cells in rows:
+            command = command.strip().strip("`")
+            table_flags = {flag for head, cell in zip(header[1:], cells) if cell.strip()
+                           for flag in re.findall(r"--[a-z-]+", head + cell)}
+            parser_flags = {flag for action in subparsers.choices[command]._actions
+                            for flag in action.option_strings} - {"-h", "--help"}
+            if table_flags != parser_flags:
+                mismatch[command] = {"table only": table_flags - parser_flags,
+                                     "parser only": parser_flags - table_flags}
+        assert mismatch == {}
+        assert [row[0].strip().strip("`") for row in rows] == list(subparsers.choices)
+
     def test_readme_cli_lines_parse(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         lines = [line for line in readme.splitlines() if line.startswith("ltoep ")]
         commands = {parse_args(shlex.split(line)[1:]).command for line in lines}
         assert commands == set(READS)
 
+    # The identity checks compare their residual on s * phi with a relative
+    # tolerance and report both divided by s; s = 2**-2 puts analytic.json's
+    # largest part, 2, in [0.5, 1).
     @pytest.mark.parametrize(
         "argv, tolerance",
         [
             (("verify", "--identity", "unitary", "--lambda-im", "1"),
-             ltoeplitz.factorization.DEFAULT_UNITARY_TOL),
+             ltoeplitz.factorization.DEFAULT_UNITARY_TOL / 2**-2),
             (("verify", "--identity", "wco-sum", "--lambda-re", "0.5"),
-             ltoeplitz.factorization.DEFAULT_WCO_SUM_TOL),
+             ltoeplitz.factorization.DEFAULT_WCO_SUM_TOL / 2**-2),
             (("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.5"),
-             ltoeplitz.factorization.DEFAULT_TOEPLITZ_COMP_TOL),
+             ltoeplitz.factorization.DEFAULT_TOEPLITZ_COMP_TOL / 2**-2),
             (("spectrum", "--lambda-re", "0.5"), 1e-14),
         ],
         ids=["unitary", "wco-sum", "toeplitz-comp", "spectrum"],
@@ -113,14 +141,14 @@ class TestExitStatusContract:
         assert results[0]["pass"] is True
         assert results[0]["residual"] < 1e-14
 
-    def test_residual_above_tolerance_is_one(self, two_cos_path, tmp_path):
+    def test_residual_above_tolerance_is_one(self, two_cos_path, tmp_path, monkeypatch):
         # lambda = 0.6 + 0.8i sits on the circle but its powers round, so the
         # factorization residual is tiny yet nonzero
+        monkeypatch.setattr(ltoeplitz.factorization, "DEFAULT_UNITARY_TOL", 1e-300)
         out = tmp_path / "r.json"
         code = run_cli(
             "verify", "--identity", "unitary", "--symbol", two_cos_path,
-            "--lambda-re", "0.6", "--lambda-im", "0.8",
-            "--sizes", "64", "--tol", "1e-300", "--out", out,
+            "--lambda-re", "0.6", "--lambda-im", "0.8", "--sizes", "64", "--out", out,
         )
         assert code == 1
         results = json.loads(out.read_text())
@@ -141,12 +169,6 @@ class TestExitStatusContract:
 
     def test_missing_symbol_is_two(self):
         assert run_cli("svd", "--sizes", "8") == 2
-
-    def test_nonpositive_tol_is_two(self, two_cos_path):
-        assert run_cli(
-            "verify", "--identity", "wco-sum", "--symbol", two_cos_path,
-            "--sizes", "8", "--tol", "0",
-        ) == 2
 
     def test_build_takes_one_size(self, two_cos_path):
         assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4,8") == 2
@@ -309,7 +331,7 @@ class TestBoundaryInput:
         assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4") == 2
         assert "LT_MEM_BUDGET_MB='abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--lambda-re", "nan"), ("--tol", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--lambda-re", "nan")])
     def test_non_finite_flag(self, two_cos_path, capsys, flag, value):
         assert run_cli(
             "verify", "--identity", "wco-sum", "--symbol", two_cos_path, "--sizes", "4", flag, value,
@@ -338,6 +360,27 @@ class TestBoundaryInput:
         captured = capsys.readouterr()
         assert "--grid-size 100000000000" in captured.err and "budget 1024 MB" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("hsnorm", "--wco", "--lambda-re", "1"), "Hilbert-Schmidt closed form requires |lambda| < 1"),
+         (("norms", "--lambda-re", "0.5"), "norm convergence study requires |lambda| = 1")],
+        ids=["hsnorm", "norms"],
+    )
+    def test_bad_lambda_is_refused_before_the_grid(self, analytic_path, capsys, args, message):
+        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8",
+                       "--grid-size", "100000000000") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_norms_names_an_overflowing_twist(self, tmp_path, capsys):
+        sym = tmp_path / "big.json"
+        sym.write_text('{"coefficients": [{"n": 1, "re": 1.5e308, "im": 1.5e308}]}')
+        lam = cmath.exp(0.25j * math.pi)
+        assert run_cli("norms", "--symbol", sym, "--lambda-re", repr(lam.real),
+                       "--lambda-im", repr(lam.imag), "--sizes", "4") == 2
+        assert capsys.readouterr().err == (
+            f"error: twist_plus: conj(lambda)**1 * a_1 overflows at lambda={lam!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "args, symbol, points, grids, source",
@@ -847,6 +890,27 @@ class TestVerifyIdentities:
         assert by_variant["as-stated"]["pass"] is False
         assert by_variant["as-stated"]["residual"] >= 0.74
         assert by_variant["corrected"]["pass"] is True
+
+    PHI = {-2: 3 + 1j, 0: 2.0, 1: 1 - 0.7j, 3: 0.5j}
+
+    @pytest.mark.parametrize(
+        "symbol, identity, lam, passes",
+        [({d: 100.0 * a for d, a in PHI.items()}, "toeplitz-comp", 0.8, [False, True]),
+         ({d: 1e5 * a for d, a in PHI.items()}, "unitary", 0.6 + 0.8j, [True]),
+         # subnormal coefficients: the as-stated variant is as wrong as at any scale
+         ({d: 1e-310 * a for d, a in PHI.items()}, "toeplitz-comp", 0.8, [False, True]),
+         # the twist conj(lambda) * a_1 = 2.1e308 overflows unless scaled first
+         ({1: 1.5e308 + 1.5e308j}, "unitary", cmath.exp(0.25j * math.pi), [True])],
+        ids=["100-phi-toeplitz-comp", "1e5-phi-unitary", "1e-310-phi-toeplitz-comp",
+             "1.5e308-unitary"],
+    )
+    def test_verdict_does_not_depend_on_the_scale(self, tmp_path, symbol, identity, lam, passes):
+        sym, out = tmp_path / "phi.json", tmp_path / "r.json"
+        write_symbol_file(FourierSymbol(symbol), sym)
+        lam = complex(lam)
+        assert run_cli("verify", "--identity", identity, "--symbol", sym, "--lambda-re", repr(lam.real),
+                       "--lambda-im", repr(lam.imag), "--sizes", "64", "--out", out) == 0
+        assert [r["pass"] for r in json.loads(out.read_text())] == passes
 
     @pytest.mark.parametrize(
         "args, message",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ltoeplitz import (
@@ -381,6 +381,50 @@ def test_toeplitz_comp_names_an_overflowing_power():
         verify_toeplitz_comp_factorization(spec, 300)
     # band -200 misses the 200 x 200 truncation, so its power is never taken
     assert verify_toeplitz_comp_factorization(spec, 200)[1].passed
+
+
+def test_toeplitz_comp_dilates_the_scaled_symbol():
+    # lambda^-1000 * a_{-1000} = 2^1000 * 1e300 is past the float range, but
+    # the check dilates s * a_{-1000}, whose parts lie below 1
+    spec = LambdaToeplitzSpec(0.5, FourierSymbol({-1000: 1e300}))
+    stated, corrected = verify_toeplitz_comp_factorization(spec, 1001)
+    assert (corrected.residual, corrected.passed, stated.passed) == (0.0, True, False)
+
+
+# a part of at least 1e-3 and at most 3 keeps 2^k times it, and every
+# residual, a normal float for |k| <= 500
+scale_free_parts = st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3)
+
+
+@given(
+    coefficients=st.dictionaries(
+        st.integers(-70, 70), st.builds(complex, scale_free_parts, scale_free_parts),
+        min_size=1, max_size=6,
+    ),
+    n=st.integers(1, 64),
+    k=st.integers(-500, 500),
+    unit=st.floats(0.0, 2.0 * math.pi),
+    disc=st.tuples(st.floats(0.5, 1.0), st.floats(0.0, 2.0 * math.pi)),
+    real=st.floats(0.5, 1.0, exclude_max=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_identity_checks_are_scale_free(coefficients, n, k, unit, disc, real):
+    """Each check on 2^k * phi gives phi's verdict, and 2^k times its residual
+    and tolerance, wherever a band of phi reaches the truncation: the zero
+    truncation has no scale, and its tolerance is the relative one."""
+    assume(any(abs(d) < n for d in coefficients))
+    phi = FourierSymbol(coefficients)
+    scaled = FourierSymbol({d: math.ldexp(1.0, k) * a for d, a in coefficients.items()})
+    results = [
+        (check(LambdaToeplitzSpec(lam, scaled), n), check(LambdaToeplitzSpec(lam, phi), n))
+        for check, lam in [(verify_unitary_factorization, cmath.exp(1j * unit)),
+                           (verify_wco_sum, cmath.rect(*disc))]
+    ]
+    results += zip(*(verify_toeplitz_comp_factorization(LambdaToeplitzSpec(real, s), n)
+                     for s in (scaled, phi)))
+    for g, w in results:
+        assert g.passed == w.passed
+        assert (g.residual, g.tolerance) == (math.ldexp(w.residual, k), math.ldexp(w.tolerance, k))
 
 
 def closed_kernel(spec, m):

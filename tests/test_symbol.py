@@ -188,6 +188,18 @@ class TestTwists:
         for n in range(-6, 0):
             assert twisted.coefficient(n) == phi.coefficient(n)
 
+    @pytest.mark.parametrize(
+        "phi, lam, n",
+        [(FourierSymbol({-1: 1.0, 1: 1.5e308 + 1.5e308j}), cmath.exp(0.25j * math.pi), 1),
+         # 1 + 5e-13 lies on the circle up to UNIT_CIRCLE_TOL; its 10^20-th power does not
+         (FourierSymbol({0: 1.0, 10**20: 1.0}), 1.0 + 5e-13, 10**20)],
+        ids=["product", "power"],
+    )
+    def test_twist_plus_names_an_overflowing_coefficient(self, phi, lam, n):
+        with pytest.raises(ValueError) as exc:
+            phi.twist_plus(lam)
+        assert str(exc.value) == f"twist_plus: conj(lambda)**{n} * a_{n} overflows at lambda={lam!r}"
+
     @given(symbols(), unimodular_lambdas)
     def test_twist_plus_unimodular_preserves_l2(self, phi, lam):
         assert math.isclose(
