@@ -305,10 +305,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_norms(args: argparse.Namespace) -> int:
     spec = _make_spec(args)
+    spectral.norm_convergence_study(spec, ())  # refuses |lambda| != 1 before the twist and grid
     twisted = spec.symbol.twist_plus(spec.lam)
-    study = spectral.norm_convergence_study(spec, args.sizes)  # refuses |lambda| != 1 before any grid
     grid = max(args.grid_size, 2 * twisted.max_abs_index + 1)
-    _charge_grid(args, grid, grids=2)  # evaluate_on_grid's fold and FFT
+    _charge_grid(args, grid, grids=2)  # evaluate_on_grid's fold and FFT, before the study
+    study = spectral.norm_convergence_study(spec, args.sizes)
     target = twisted.sup_norm_estimate(grid)
     _write(
         args,

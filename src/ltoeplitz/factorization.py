@@ -1,9 +1,10 @@
 """Companion operators and residual checks for the factorization identities.
 
-Builds the diagonal unitary, classical Toeplitz truncations and weighted
-composition operators with linear multiplier tau(z) = c z, verifies each
-identity tying them to the lambda-Toeplitz truncation as an entrywise
-residual, and estimates the Hilbert-Schmidt norm of W by kernel quadrature.
+Builds weighted composition operators with linear multiplier tau(z) = c z,
+verifies each identity tying them, and the diagonal unitary and classical
+Toeplitz truncations (those of (lambda, 1) and (1, phi)), to the
+lambda-Toeplitz truncation as an entrywise residual, and estimates the
+Hilbert-Schmidt norm of W by kernel quadrature.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "DEFAULT_TOEPLITZ_COMP_TOL",
     "WeightedCompositionSpec",
     "VerificationResult",
-    "build_diag_unitary",
-    "build_toeplitz",
     "build_weighted_comp",
     "verify_unitary_factorization",
     "verify_wco_sum",
@@ -93,16 +92,6 @@ class VerificationResult:
 # -- builders ----------------------------------------------------------------
 
 
-def build_diag_unitary(lam: complex, size: int) -> TruncatedOperator:
-    """diag(lambda^n), the truncation of (lambda, 1); unitary exactly when |lambda| = 1."""
-    return truncate(LambdaToeplitzSpec(lam, FourierSymbol({0: 1.0})), size)
-
-
-def build_toeplitz(symbol: FourierSymbol, size: int) -> TruncatedOperator:
-    """Constant-diagonal matrix entry(n, m) = a_{n-m}, the truncation of (1, symbol)."""
-    return truncate(LambdaToeplitzSpec(1.0, symbol), size)
-
-
 def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOperator:
     """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}, the
     truncation of (multiplier, weight)."""
@@ -139,10 +128,11 @@ def _band_residual(lhs, rhs) -> float:
     return float(np.max(peaks))
 
 
-def _scaled_result(identity, size, residual, tol, scale, variant=None) -> VerificationResult:
-    """Passes when the residual on ``scale`` * phi is at most the relative ``tol``;
-    reports both divided by ``scale``, exactly for every normal float."""
-    return VerificationResult(identity, size, residual / scale, tol / scale, residual <= tol, variant)
+def _scaled_result(identity, size, residual, tol, exponent, variant=None) -> VerificationResult:
+    """Passes when the residual on 2^``exponent`` * phi is at most the relative
+    ``tol``; reports both times 2^-``exponent``, exactly for every normal float."""
+    residual_out, tol_out = math.ldexp(residual, -exponent), math.ldexp(tol, -exponent)
+    return VerificationResult(identity, size, residual_out, tol_out, residual <= tol, variant)
 
 
 def verify_unitary_factorization(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
@@ -154,13 +144,13 @@ def verify_unitary_factorization(spec: LambdaToeplitzSpec, size: int) -> Verific
     if not is_unimodular(spec.lam):
         raise ValueError("unitary factorization requires |lambda| = 1")
     n = _checked_size(size)
-    symbol, scale = _unit_scaled(spec.symbol, n)
+    symbol, exponent = _unit_scaled(spec.symbol, n)
     pows, twisted = powers(spec.lam, n), symbol.twist_plus(spec.lam)
     # row i scaled by lambda^i, powers on the left: swapped complex products
     # round differently
     rhs = ((d, pows[max(d, 0) :][: band.size] * band) for d, band in _bands(twisted, n, 1.0))
     residual = _band_residual(_bands(symbol, n, spec.lam), rhs)
-    return _scaled_result("unitary", n, residual, DEFAULT_UNITARY_TOL, scale)
+    return _scaled_result("unitary", n, residual, DEFAULT_UNITARY_TOL, exponent)
 
 
 def verify_wco_sum(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
@@ -168,25 +158,22 @@ def verify_wco_sum(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
 
     The first summand fills the lower triangle, the adjoint of the second the
     strict upper triangle; the identity is exact entrywise for every lambda in
-    the closed disc, with no truncation leakage. The upper triangle is
-    compared transposed, where both sides run in ascending band order: the
-    transpose of the truncation for (lambda, phi) is the truncation for
+    the closed disc, with no truncation leakage. Only the strict upper
+    triangle is compared: below it the truncation's bands are those of
+    W(phi_plus, lambda) by definition, the same products on both sides. It
+    is compared transposed, where both sides run in ascending band order:
+    the transpose of the truncation for (lambda, phi) is the truncation for
     (lambda, phi(1/z)), and that of W^* is conj(W).
     """
     n = _checked_size(size)
     lam = spec.lam
-    symbol, scale = _unit_scaled(spec.symbol, n)
-    plus, minus = symbol.analytic_part(), symbol.coanalytic_part()
-    # Below the diagonal the truncation's bands are W(phi_plus, lambda)'s by
-    # definition, the same products on both sides: only a band that is not
-    # finite makes them differ, giving NaN as the dense difference did.
-    lower = _band_residual(_bands(plus, n, lam), _bands(plus, n, lam))
-    upper = _band_residual(
+    symbol, exponent = _unit_scaled(spec.symbol, n)
+    minus = symbol.coanalytic_part()
+    residual = _band_residual(
         _bands(FourierSymbol({-d: a for d, a in minus.items()}), n, lam),
-        ((k, band.conj()) for k, band in _bands(minus.conjugate_flip(), n, lam.conjugate())),
+        ((k, band.conj()) for k, band in _bands(minus.conjugate(), n, lam.conjugate())),
     )
-    residual = float(np.maximum(lower, upper))
-    return _scaled_result("wco-sum", n, residual, DEFAULT_WCO_SUM_TOL, scale)
+    return _scaled_result("wco-sum", n, residual, DEFAULT_WCO_SUM_TOL, exponent)
 
 
 def _tilde_symbol(symbol: FourierSymbol, lam: complex, exponent_sign: int, variant: str):
@@ -225,7 +212,7 @@ def verify_toeplitz_comp_factorization(
     if lam.imag != 0.0 or not 0.0 < lam.real < 1.0:
         raise ValueError("toeplitz-comp factorization needs real lambda in (0, 1)")
     n = _checked_size(size)
-    symbol, scale = _unit_scaled(spec.symbol, n)
+    symbol, exponent = _unit_scaled(spec.symbol, n)
     pows = powers(lam, n)
 
     results = []
@@ -235,7 +222,7 @@ def verify_toeplitz_comp_factorization(
         rhs = ((d, band * pows[max(-d, 0) :][: band.size]) for d, band in _bands(tilde, n, 1.0))
         residual = _band_residual(_bands(symbol, n, lam), rhs)
         results.append(_scaled_result("toeplitz-comp", n, residual, DEFAULT_TOEPLITZ_COMP_TOL,
-                                      scale, variant))
+                                      exponent, variant))
     return tuple(results)
 
 
@@ -269,8 +256,8 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
     (sum_j |psi(z_j)|^2)(sum_d |c_d|^2), with the weight scaled by a power of
     two, undone at the end, so that its squares stay in the float range.
     """
-    weight, scale = _unit_scaled(w.weight)
+    weight, exponent = _unit_scaled(w.weight)
     circulant = _kernel_circulant(w.multiplier, grid_size)
     psi = weight.evaluate_on_grid(circulant.size)
     total = np.vdot(psi, psi).real * np.vdot(circulant, circulant).real
-    return math.sqrt(total) / circulant.size / scale
+    return math.ldexp(math.sqrt(total) / circulant.size, -exponent)

@@ -40,7 +40,6 @@ __all__ = [
 MEM_BUDGET_ENV = "LT_MEM_BUDGET_MB"
 DEFAULT_MEM_BUDGET_MB = 1024.0
 _BYTES_PER_ENTRY = 16  # complex128
-_MAX_EXP = int(np.finfo(float).maxexp) - 1  # largest power of two below the float max
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
@@ -182,19 +181,21 @@ def _bands(symbol: FourierSymbol, size: int, base: complex):
             yield d, a * pows[: n - abs(d)]
 
 
-def _unit_scale(top: float) -> float:
-    """The power of two s with s * top near 1 (1.0 for 0 or inf): an exact
-    scaling after which squares of values up to top stay in the float range."""
-    return math.ldexp(1.0, min(-math.frexp(top)[1], _MAX_EXP)) if 0 < top < math.inf else 1.0
+def _unit_exponent(top: float) -> int:
+    """The e with 2^e * top in [0.5, 1) (0 for 0 or inf): an exact scaling
+    after which squares of values up to top stay in the float range. Below
+    2^-1023, 2^e is past the float range, so scale with ``math.ldexp``."""
+    return -math.frexp(top)[1] if 0 < top < math.inf else 0
 
 
-def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[FourierSymbol, float]:
-    """``(s * symbol, s)``, s the ``_unit_scale`` of the largest |Re a_d|, |Im a_d|;
-    with a size N, only the bands |d| < N."""
+def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[FourierSymbol, int]:
+    """``(2^e * symbol, e)``, e the ``_unit_exponent`` of the largest |Re a_d|,
+    |Im a_d|; with a size N, only the bands |d| < N."""
     n = math.inf if size is None else int(size)
     kept = [(d, a) for d, a in symbol.items() if -n < d < n]
-    scale = _unit_scale(max((max(abs(a.real), abs(a.imag)) for _, a in kept), default=0.0))
-    return FourierSymbol({d: a * scale for d, a in kept}), scale
+    e = _unit_exponent(max((max(abs(a.real), abs(a.imag)) for _, a in kept), default=0.0))
+    return FourierSymbol({d: complex(math.ldexp(a.real, e), math.ldexp(a.imag, e))
+                          for d, a in kept}), e
 
 
 def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:

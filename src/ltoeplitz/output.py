@@ -40,7 +40,7 @@ class Records:
 
     A non-finite part raises ``ValueError`` naming the column and the
     record's row, so neither JSON nor CSV can hold one; nothing is formatted
-    before ``chunks`` is iterated. ``dumps_json`` writes a ``Records`` as the
+    before ``chunks`` is iterated. ``json_chunks`` writes a ``Records`` as the
     list of objects with sorted keys that it writes for the equivalent list
     of dicts.
     """
@@ -155,17 +155,13 @@ def _render_json(obj, level: int, lazy: list) -> str:
 
 
 def json_chunks(obj) -> Iterator[str]:
-    """The text of ``dumps_json(obj)`` in chunks. Everything but the records
-    is rendered, and every value checked, before this returns; the records
-    are formatted as the chunks are taken."""
+    """Deterministic JSON of ``obj`` in chunks: sorted keys, fixed float
+    formatting, trailing newline. Everything but the records is rendered, and
+    every value checked, before this returns; the records are formatted as
+    the chunks are taken."""
     lazy: list = []
     head, *tails = (_render_json(obj, 0, lazy) + "\n").split(_LAZY)
     return chain([head], *chain.from_iterable(zip(lazy, ([t] for t in tails))))
-
-
-def dumps_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting, trailing newline."""
-    return "".join(json_chunks(obj))
 
 
 def csv_text(header: str, rows: Iterable[Sequence]) -> str:

@@ -28,8 +28,7 @@ operator attached to (lambda, phi):
   ``svd_study`` and ``finite_rank_study`` need every singular value and
   take the SVD of ``_core``: the core where it is smaller than T_N, T_N
   itself otherwise.
-  ``analyze``, ``singular_values`` and ``operator_norm``, the tests'
-  oracles, always take the plain dense SVD.
+  ``analyze``, the tests' oracle, always takes the plain dense SVD.
 * rank: lambda = 0 forces rank <= 2; one-sided symbols give exact
   corank-n_0 triangular structure; generic two-sided symbols with
   0 < |lambda| < 1 have numerical rank growing without bound.
@@ -51,7 +50,7 @@ from .operator import (
     _TINY,
     _bands,
     _checked_size,
-    _unit_scale,
+    _unit_exponent,
     _unit_scaled,
     powers,
     prepare,
@@ -69,8 +68,6 @@ __all__ = [
     "analyze",
     "svd_study",
     "frobenius_norm",
-    "singular_values",
-    "operator_norm",
     "top_singular_value",
     "hs_norm_closed_form",
     "wco_hs_norm_closed_form",
@@ -144,15 +141,6 @@ def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
         return np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SpectralDecompositionError(size, f"SVD failed at N={size}: {exc}") from exc
-
-
-def singular_values(op: TruncatedOperator) -> np.ndarray:
-    """Dense SVD of every entry: the plain oracle."""
-    return _svdvals(op.entries, op.size)
-
-
-def operator_norm(op: TruncatedOperator) -> float:
-    return float(singular_values(op)[0])
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -306,13 +294,15 @@ def analyze(
     """Every singular value of any matrix, with norms, numerical rank and
     decay margins: the dense oracle of ``svd_study``.
 
-    The singular values are those of ``singular_values``, bit for bit. The
-    Frobenius norm is ``np.linalg.norm`` of the entries scaled by the
-    ``_unit_scale`` of sigma_1, which bounds every |entry|.
+    The singular values are the dense SVD of every entry. The Frobenius norm
+    is ``np.linalg.norm`` of the entries scaled by 2^e, e the
+    ``_unit_exponent`` of sigma_1, which bounds every |entry|, applied as
+    two factors: for a subnormal sigma_1, 2^e lies past the float range.
     """
-    sing = singular_values(op)
-    scale = _unit_scale(float(sing[0]))
-    return _report(sing, float(np.linalg.norm(op.entries * scale)) / scale, lam, rank_tol)
+    sing = _svdvals(op.entries, op.size)
+    e = _unit_exponent(float(sing[0]))
+    scaled = op.entries * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+    return _report(sing, math.ldexp(float(np.linalg.norm(scaled)), -e), lam, rank_tol)
 
 
 def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
@@ -360,9 +350,9 @@ def frobenius_norm(spec: LambdaToeplitzSpec, size: int) -> float:
     """Frobenius norm of the N x N truncation, summed band by band in O(N)
     memory from scaled coefficients, independent of any SVD and closed form."""
     n = _checked_size(size)
-    scaled, scale = _unit_scaled(spec.symbol, n)
+    scaled, e = _unit_scaled(spec.symbol, n)
     total = math.fsum(np.vdot(band, band).real for _, band in _bands(scaled, n, spec.lam))
-    return math.sqrt(total) / scale
+    return math.ldexp(math.sqrt(total), -e)
 
 
 def svd_study(

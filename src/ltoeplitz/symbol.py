@@ -77,10 +77,6 @@ class FourierSymbol:
         return tuple(sorted(self._coeffs))
 
     @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
     def max_abs_index(self) -> int:
         return max((abs(n) for n in self._coeffs), default=0)
 
@@ -105,15 +101,6 @@ class FourierSymbol:
     def coanalytic_part(self) -> "FourierSymbol":
         """Keep indices n < 0; together with ``analytic_part`` reconstructs phi."""
         return FourierSymbol({n: v for n, v in self._coeffs.items() if n < 0})
-
-    def conjugate_flip(self) -> "FourierSymbol":
-        """Map a coanalytic symbol to the analytic one with b_n = conj(a_{-n}), n >= 1."""
-        bad = [n for n in self._coeffs if n >= 0]
-        if bad:
-            raise ValueError(
-                f"conjugate_flip needs support on n < 0; found index {min(bad)}"
-            )
-        return FourierSymbol({-n: v.conjugate() for n, v in self._coeffs.items()})
 
     def conjugate(self) -> "FourierSymbol":
         """Coefficients of conj(phi): b_n = conj(a_{-n})."""
@@ -165,8 +152,6 @@ class FourierSymbol:
         Converges to the true sup norm for trigonometric polynomials; the grid
         should satisfy grid_size >= 2*max_abs_index + 1 to resolve all modes.
         """
-        if self.is_zero:
-            return 0.0
         return float(np.max(np.abs(self.evaluate_on_grid(grid_size))))
 
     # -- serialization -------------------------------------------------------

@@ -381,6 +381,10 @@ class TestBoundaryInput:
         assert capsys.readouterr().err == (
             f"error: twist_plus: conj(lambda)**1 * a_1 overflows at lambda={lam!r}\n"
         )
+        # the twist at 0.7 - 0.7i overflows too, but |lambda| != 1 is refused first
+        assert run_cli("norms", "--symbol", sym, "--lambda-re", "0.7", "--lambda-im", "-0.7",
+                       "--sizes", "4") == 2
+        assert capsys.readouterr().err == "error: norm convergence study requires |lambda| = 1\n"
 
     @pytest.mark.parametrize(
         "args, symbol, points, grids, source",
@@ -401,11 +405,17 @@ class TestBoundaryInput:
     def test_grid_size_charges_every_grid_held_at_once(
         self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids, source
     ):
-        # one grid fits in 1 MB; the grids that are held together do not
+        # one grid fits in 1 MB; the grids that are held together do not, and
+        # norms charges them before its study, which would hide them behind
+        # a Krylov-basis refusal or run to the end first
+        def study(*args):
+            raise AssertionError("the norms study ran before the grid was charged")
+
         path = analytic_path
         if symbol is not None:
             path = tmp_path / "symbol.json"
             write_symbol_file(symbol, path)
+        monkeypatch.setattr(ltoeplitz.spectral, "top_singular_value", study)
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
         assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         need = grids * points * 16 / 2**20
@@ -609,10 +619,10 @@ class TestBoundaryInput:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
     def test_json_writer_refuses_nan(self):
-        from ltoeplitz.output import dumps_json
+        from ltoeplitz.output import json_chunks
 
         with pytest.raises(ValueError, match="non-finite"):
-            dumps_json({"closed_form": math.nan})
+            "".join(json_chunks({"closed_form": math.nan}))
 
 
 class TestBuild:

@@ -11,7 +11,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 import ltoeplitz
-from ltoeplitz import FourierSymbol, build_toeplitz, write_symbol_file
+from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, truncate, write_symbol_file
 from ltoeplitz.operator import _next_fast_len
 
 
@@ -76,7 +76,7 @@ def test_toeplitz_gather_matches_scipy_exactly(n):
     symbol = FourierSymbol(
         {**{-k: row[k] for k in range(1, n)}, **{k: col[k] for k in range(n)}}
     )
-    assert np.array_equal(build_toeplitz(symbol, n).entries, toeplitz(col, row))
+    assert np.array_equal(truncate(LambdaToeplitzSpec(1.0, symbol), n).entries, toeplitz(col, row))
 
 
 def _direct_sum(symbol: FourierSymbol, grid_size: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from ltoeplitz import FourierSymbol, LambdaToeplitzSpec
 from ltoeplitz.cli import main
 from ltoeplitz.operator import apply_fast, solve_recurrence, truncate, truncation_borders
-from ltoeplitz.output import Records, csv_text, dumps_json, read_matrix_csv, read_vector_csv
+from ltoeplitz.output import Records, csv_text, json_chunks, read_matrix_csv, read_vector_csv
 
 SIZES = (1, 2, 7, 64)
 # -0.0, subnormals, a huge value and integral floats (1.0 is written "1")
@@ -141,13 +141,13 @@ def _run(*args):
 def test_writers_match_oracle_on_planted_values(size):
     a = planted_matrix(size)
     assert "".join(Records(a).chunks()) == oracle_matrix_csv(a)
-    assert dumps_json({"N": size, "entries": Records(a)}) == oracle_dumps(
+    assert "".join(json_chunks({"N": size, "entries": Records(a)})) == oracle_dumps(
         {"N": size, "entries": oracle_matrix_dicts(a)}
     )
     v = a.reshape(-1)
     assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
     # a record list nested one level deeper keeps the oracle's indentation
-    assert dumps_json([{"values": Records(v)}]) == oracle_dumps(
+    assert "".join(json_chunks([{"values": Records(v)}])) == oracle_dumps(
         [{"values": oracle_vector_dicts(v)}]
     )
 
@@ -187,12 +187,14 @@ def test_zero_cells_match_oracle(case):
     size, planted = ZERO_HEAVY[case]
     a = _zero_heavy(size, planted)
     assert "".join(Records(a).chunks()) == oracle_matrix_csv(a)
-    assert dumps_json({"N": size, "entries": Records(a)}) == oracle_dumps(
+    assert "".join(json_chunks({"N": size, "entries": Records(a)})) == oracle_dumps(
         {"N": size, "entries": oracle_matrix_dicts(a)}
     )
     v = a.reshape(-1)
     assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
-    assert dumps_json({"values": Records(v)}) == oracle_dumps({"values": oracle_vector_dicts(v)})
+    assert "".join(json_chunks({"values": Records(v)})) == oracle_dumps(
+        {"values": oracle_vector_dicts(v)}
+    )
 
 
 @pytest.mark.parametrize("size", [999, 1000, 1001, 2345])
@@ -204,7 +206,9 @@ def test_vector_runs_match_oracle_across_run_boundaries(size):
             v[k] = complex(k + 0.25, -0.0)
     v[size // 2 :: 3] = 1j
     assert "".join(Records(v).chunks()) == oracle_vector_csv(v)
-    assert dumps_json([{"values": Records(v)}]) == oracle_dumps([{"values": oracle_vector_dicts(v)}])
+    assert "".join(json_chunks([{"values": Records(v)}])) == oracle_dumps(
+        [{"values": oracle_vector_dicts(v)}]
+    )
     dense = np.arange(size) * (1.0 - 0.5j) + 1.0
     assert "".join(Records(dense).chunks()) == oracle_vector_csv(dense)
 
@@ -212,7 +216,7 @@ def test_vector_runs_match_oracle_across_run_boundaries(size):
 def test_empty_records_match_oracle():
     empty = np.zeros(0, dtype=complex)
     assert "".join(Records(empty).chunks()) == oracle_vector_csv(empty)
-    assert dumps_json({"values": Records(empty)}) == oracle_dumps({"values": []})
+    assert "".join(json_chunks({"values": Records(empty)})) == oracle_dumps({"values": []})
 
 
 @pytest.mark.parametrize("lam", [0j, 0.6 + 0.6j], ids=["lambda0", "lambda0.6+0.6i"])

@@ -6,7 +6,10 @@ tracer does) crash on one stale name, so a deleted function must leave every
 list and the package namespace together.
 """
 
+import ast
+import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,23 @@ def test_star_import_binds_exactly_the_listed_names():
     namespace = {}
     exec("from ltoeplitz import *", namespace)
     assert set(namespace) - {"__builtins__"} == {name for m in LISTED for name in m.__all__}
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_public_function_has_a_caller():
+    """A listed function is named somewhere in the package, or is one the
+    acceptance tests import; ``entry``, the scalar closed-form oracle, is the
+    one exception."""
+    nodes = [n for p in Path(ltoeplitz.__file__).parent.glob("*.py") for n in ast.walk(_tree(p))]
+    named = {n.id for n in nodes if isinstance(n, ast.Name)}
+    named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    acceptance = _tree(Path(__file__).with_name("test_acceptance.py"))
+    imported = {a.name for n in ast.walk(acceptance) if isinstance(n, ast.ImportFrom) for a in n.names}
+    uncalled = [
+        name for m in LISTED for name in m.__all__
+        if inspect.isfunction(getattr(m, name)) and name not in named | imported | {"entry"}
+    ]
+    assert uncalled == []

@@ -17,7 +17,6 @@ from ltoeplitz import (
     finite_rank_study,
     hs_norm_closed_form,
     norm_convergence_study,
-    operator_norm,
     sawtooth,
     sawtooth_growth_study,
     svd_study,
@@ -407,7 +406,7 @@ class TestCompactnessSurrogates:
         spec = LambdaToeplitzSpec(cmath.exp(0.4j), phi)
         floor = max(abs(v) for _, v in phi.items())
         for n in (4, 16, 64):
-            assert operator_norm(truncate(spec, n)) >= floor - 1e-12
+            assert analyze(truncate(spec, n), spec.lam).operator_norm >= floor - 1e-12
 
     def test_interior_lambda_tail_blocks_decay(self):
         # the tail block starting at row/column m is lambda^m times a smaller
@@ -422,14 +421,12 @@ class TestCompactnessSurrogates:
 
 class TestUnitaryFactorNormEquality:
     def test_operator_norm_matches_twisted_toeplitz(self):
-        from ltoeplitz import build_toeplitz
-
         for phase in (0.0, 1.1, 3.7):
             lam = cmath.exp(1j * phase)
             phi = FourierSymbol({1: 1.0, -2: 0.5j, 0: 0.3})
-            spec = LambdaToeplitzSpec(lam, phi)
-            lhs = operator_norm(truncate(spec, 48))
-            rhs = operator_norm(build_toeplitz(phi.twist_plus(lam), 48))
+            lhs = analyze(truncate(LambdaToeplitzSpec(lam, phi), 48), lam).operator_norm
+            toeplitz = LambdaToeplitzSpec(1.0, phi.twist_plus(lam))
+            rhs = analyze(truncate(toeplitz, 48), 1.0).operator_norm
             assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
@@ -444,7 +441,7 @@ class TestSawtoothGrowth:
         from ltoeplitz import sawtooth
 
         (n, got), = sawtooth_growth_study((16,))
-        direct = operator_norm(truncate(LambdaToeplitzSpec(-1.0, sawtooth(16)), 16))
+        direct = analyze(truncate(LambdaToeplitzSpec(-1.0, sawtooth(16)), 16), -1.0).operator_norm
         assert abs(got - direct) <= 1e-13 * direct
 
 
