@@ -21,6 +21,7 @@ from .operator import (
     _checked_size,
     _disc_point,
     _unit_scaled,
+    _unscaled,
     powers,
     truncate,
 )
@@ -131,7 +132,7 @@ def _band_residual(lhs, rhs) -> float:
 def _scaled_result(identity, size, residual, tol, exponent, variant=None) -> VerificationResult:
     """Passes when the residual on 2^``exponent`` * phi is at most the relative
     ``tol``; reports both times 2^-``exponent``, exactly for every normal float."""
-    residual_out, tol_out = math.ldexp(residual, -exponent), math.ldexp(tol, -exponent)
+    residual_out, tol_out = _unscaled(residual, exponent), _unscaled(tol, exponent)
     return VerificationResult(identity, size, residual_out, tol_out, residual <= tol, variant)
 
 
@@ -260,4 +261,4 @@ def kernel_hs_norm(w: WeightedCompositionSpec, grid_size: int) -> float:
     circulant = _kernel_circulant(w.multiplier, grid_size)
     psi = weight.evaluate_on_grid(circulant.size)
     total = np.vdot(psi, psi).real * np.vdot(circulant, circulant).real
-    return math.ldexp(math.sqrt(total) / circulant.size, -exponent)
+    return _unscaled(math.sqrt(total) / circulant.size, exponent)

@@ -198,6 +198,16 @@ def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[Fourie
                           for d, a in kept}), e
 
 
+def _unscaled(x: float, e: int) -> float:
+    """x * 2^-e, the inverse of a ``_unit_scaled`` exponent e: exact for
+    every normal result, +-inf past the float range (where ``math.ldexp``
+    raises OverflowError), so that writers refuse it as non-finite."""
+    try:
+        return math.ldexp(x, -e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
     """Dense N x N truncation; the leading principal block of every larger one.
 

@@ -52,6 +52,7 @@ from .operator import (
     _checked_size,
     _unit_exponent,
     _unit_scaled,
+    _unscaled,
     powers,
     prepare,
     resolve_budget_mb,
@@ -301,8 +302,9 @@ def analyze(
     """
     sing = _svdvals(op.entries, op.size)
     e = _unit_exponent(float(sing[0]))
-    scaled = op.entries * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
-    return _report(sing, math.ldexp(float(np.linalg.norm(scaled)), -e), lam, rank_tol)
+    scaled = op.entries * math.ldexp(1.0, e // 2)
+    scaled *= math.ldexp(1.0, e - e // 2)
+    return _report(sing, _unscaled(float(np.linalg.norm(scaled)), e), lam, rank_tol)
 
 
 def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
@@ -352,7 +354,7 @@ def frobenius_norm(spec: LambdaToeplitzSpec, size: int) -> float:
     n = _checked_size(size)
     scaled, e = _unit_scaled(spec.symbol, n)
     total = math.fsum(np.vdot(band, band).real for _, band in _bands(scaled, n, spec.lam))
-    return math.ldexp(math.sqrt(total), -e)
+    return _unscaled(math.sqrt(total), e)
 
 
 def svd_study(

@@ -592,25 +592,30 @@ class TestBoundaryInput:
         assert captured.out == "" and "non-finite number inf" in captured.err
 
     @pytest.mark.parametrize(
-        "args",
+        "args, coeffs",
         [
-            ("apply", "--method", "fast"),
-            ("apply", "--method", "naive"),
-            ("build", "--sizes", "2", "--lambda-im", "0.8"),
+            (("apply", "--method", "fast"), None),
+            (("apply", "--method", "naive"), None),
+            (("build", "--sizes", "2", "--lambda-im", "0.8"), None),
+            # results past the float range once the 2^e scaling is undone
+            (("svd", "--sizes", "4", "--lambda-re", "1"), {0: 1.7e308}),
+            (("hsnorm", "--sizes", "8", "--lambda-re", "0.5"), {0: 1.7e308}),
+            (("verify", "--identity", "toeplitz-comp", "--sizes", "8", "--lambda-re", "0.5"),
+             {-1: complex(1.7e308, -1.7e308), 0: complex(1.7e308, 1.7e308)}),
         ],
-        ids=["apply-fast", "apply-naive", "build"],
+        ids=["apply-fast", "apply-naive", "build", "svd", "hsnorm", "verify"],
     )
-    def test_overflow_prints_only_the_error(self, args, tmp_path):
+    def test_overflow_prints_only_the_error(self, args, coeffs, tmp_path):
         # a fresh process, because pytest would capture numpy's RuntimeWarnings
         sym = tmp_path / "big.json"
-        write_symbol_file(FourierSymbol({0: complex(1.7e308, 1.7e308), 1: 1.0}), sym)
+        write_symbol_file(FourierSymbol(coeffs or {0: complex(1.7e308, 1.7e308), 1: 1.0}), sym)
         vec = tmp_path / "x.csv"
         vec.write_text("k,re,im\n0,1e308,1e308\n1,1e308,1e308\n2,1e308,1e308\n")
         if args[0] == "apply":
             args += ("--vector", str(vec))
         env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
         result = subprocess.run(
-            [sys.executable, "-m", "ltoeplitz", *args, "--symbol", str(sym), "--lambda-re", "0.6"],
+            [sys.executable, "-m", "ltoeplitz", args[0], "--lambda-re", "0.6", *args[1:], "--symbol", str(sym)],
             env=env, capture_output=True, text=True,
         )
         assert result.returncode == 2
