@@ -70,7 +70,7 @@ class VerificationResult:
     """The identity checks give ``residual`` and ``tolerance`` in the units of
     the matrix entries (their values on s * phi divided by s); ``wco-spectrum``
     relative errors; ``trace-norm-bound`` the trace norm's excess over its
-    majorant, in units of the singular values, and the slack."""
+    majorant, in units of the singular values, and the slack times sigma_1."""
 
     identity: str
     size: int

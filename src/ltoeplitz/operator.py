@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbol import UNIT_CIRCLE_TOL, FourierSymbol
+from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, _unit_exponent
 
 __all__ = [
     "MEM_BUDGET_ENV",
@@ -179,13 +179,6 @@ def _bands(symbol: FourierSymbol, size: int, base: complex):
     for d, a in symbol.items():
         if -n < d < n:
             yield d, a * pows[: n - abs(d)]
-
-
-def _unit_exponent(top: float) -> int:
-    """The e with 2^e * top in [0.5, 1) (0 for 0 or inf): an exact scaling
-    after which squares of values up to top stay in the float range. Below
-    2^-1023, 2^e is past the float range, so scale with ``math.ldexp``."""
-    return -math.frexp(top)[1] if 0 < top < math.inf else 0
 
 
 def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[FourierSymbol, int]:

@@ -38,6 +38,13 @@ def is_unimodular(value: complex, tol: float = UNIT_CIRCLE_TOL) -> bool:
     return abs(abs(complex(value)) - 1.0) <= tol
 
 
+def _unit_exponent(top: float) -> int:
+    """The e with 2^e * top in [0.5, 1) (0 for 0 or inf): an exact scaling
+    after which squares of values up to top stay in the float range. Below
+    2^-1023, 2^e is past the float range, so scale with ``math.ldexp``."""
+    return -math.frexp(top)[1] if 0 < top < math.inf else 0
+
+
 class FourierSymbol:
     """Finitely supported coefficient sequence ``{n: a_n}``.
 
@@ -134,7 +141,10 @@ class FourierSymbol:
         coefficients are folded modulo M into one length-M array and a single
         inverse FFT, scaled by M, gives every value. The fold is exact for
         every index, negative ones and |n| >= M included, and costs
-        O(K + M log M) for K stored coefficients.
+        O(K + M log M) for K stored coefficients. The coefficients are folded
+        times 2^e, e the ``_unit_exponent`` of the largest part, and the
+        values divided back: exact for every normal value, +-inf past the
+        float range, and no sum overflows or sinks into the subnormals.
         """
         m = int(grid_size)
         if m < 1:
@@ -142,9 +152,12 @@ class FourierSymbol:
         folded = np.zeros(m, dtype=complex)
         count = len(self._coeffs)
         slots = np.fromiter((n % m for n in self._coeffs), dtype=np.intp, count=count)
-        values = np.fromiter(self._coeffs.values(), dtype=complex, count=count)
-        np.add.at(folded, slots, values)
-        return np.fft.ifft(folded) * m
+        parts = np.fromiter(self._coeffs.values(), dtype=complex, count=count).view(float)
+        e = _unit_exponent(float(np.max(np.abs(parts), initial=0.0)))
+        np.add.at(folded, slots, np.ldexp(parts, e).view(complex))
+        values = (np.fft.ifft(folded) * m).view(float)
+        with np.errstate(over="ignore"):
+            return np.ldexp(values, -e, out=values).view(complex)
 
     def sup_norm_estimate(self, grid_size: int) -> float:
         """Grid maximum of |phi|: a lower bound on the sup norm.

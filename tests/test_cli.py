@@ -602,8 +602,10 @@ class TestBoundaryInput:
             (("hsnorm", "--sizes", "8", "--lambda-re", "0.5"), {0: 1.7e308}),
             (("verify", "--identity", "toeplitz-comp", "--sizes", "8", "--lambda-re", "0.5"),
              {-1: complex(1.7e308, -1.7e308), 0: complex(1.7e308, 1.7e308)}),
+            # sigma_1 and the sup norm near 3e308, from a finite scaled symbol
+            (("norms", "--sizes", "8", "--lambda-re", "1"), {-1: 1e308, 0: 1e308, 1: 1e308}),
         ],
-        ids=["apply-fast", "apply-naive", "build", "svd", "hsnorm", "verify"],
+        ids=["apply-fast", "apply-naive", "build", "svd", "hsnorm", "verify", "norms"],
     )
     def test_overflow_prints_only_the_error(self, args, coeffs, tmp_path):
         # a fresh process, because pytest would capture numpy's RuntimeWarnings
@@ -988,6 +990,20 @@ class TestRankSpectrumNorms:
         assert math.isclose(data["sup_norm_estimate"], 4.0, rel_tol=1e-6)
         norms = [row["operator_norm"] for row in data["norms"]]
         assert norms[0] < norms[1] < 4.0
+
+    @pytest.mark.parametrize("a", [1e154, 1e-300])
+    def test_norms_at_extreme_scales(self, tmp_path, a):
+        # unscaled, the Ritz Gram overflows at 1e154 and the first Krylov
+        # step underflows to a zero norm at 1e-300
+        path = tmp_path / "s.json"
+        write_symbol_file(FourierSymbol({0: a, 1: a / 2}), path)
+        out = tmp_path / "n.json"
+        assert run_cli("norms", "--symbol", path, "--lambda-re", "1", "--sizes", "8",
+                       "--out", out) == 0
+        unit = truncate(LambdaToeplitzSpec(1.0, FourierSymbol({0: 1.0, 1: 0.5})), 8).entries
+        oracle = a * float(np.linalg.svd(unit, compute_uv=False)[0])
+        (row,) = json.loads(out.read_text())["norms"]
+        assert math.isclose(row["operator_norm"], oracle, rel_tol=1e-13)
 
     def test_norms_rejects_interior_lambda(self, two_cos_path, capsys):
         assert run_cli("norms", "--symbol", two_cos_path, "--lambda-re", "0.5") == 2

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ltoeplitz import (
     wco_spectrum_check,
 )
 from ltoeplitz import spectral
+from ltoeplitz.operator import _TINY, _unit_scaled, _unscaled
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
 from conftest import disc_lambdas, random_spec, symbols
@@ -369,13 +371,23 @@ class TestTopSingularValue:
         assert spectral._start_bytes(count, chunk) == random.Random(
             spectral._KRYLOV_SEED).randbytes(count)
 
-    def test_overflowing_product_raises_its_own_error(self):
-        # the FFT of 1e308-sized coefficients overflows; numpy's warning, an
-        # error under this suite's filters, must not escape in its place
+    def test_overflowing_sigma_is_inf(self):
+        # sigma_1 is about 3e308; the iteration runs on the symbol scaled by
+        # 2^-1024, so no numpy warning arises, and only the result overflows
         spec = _spec(1.0, {-1: 1e308, 0: 1e308, 1: 1e308})
-        with pytest.raises(ValueError) as info:
-            top_singular_value(spec, 8)
-        assert str(info.value) == "matrix-free product at N=8 is not finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert top_singular_value(spec, 8) == math.inf
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 1j])
+    @pytest.mark.parametrize("a", [1e-300, 1e154, 1e200])
+    def test_extreme_scales_match_the_scaled_dense_svd(self, a, lam, n):
+        # unscaled, the first alpha underflows to 0 at 1e-300, and the Ritz
+        # Gram overflows at 1e154
+        spec = _spec(lam, {0: a, 1: a / 2})
+        dense = _scaled_dense_top(spec, n)
+        assert abs(top_singular_value(spec, n) - dense) <= 1e-13 * dense
 
     def test_basis_is_charged_against_the_budget(self, monkeypatch):
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
@@ -388,14 +400,35 @@ class TestTopSingularValue:
         assert top_singular_value(spec, 1024) == unbudgeted
 
 
+def _scaled_dense_top(spec, n):
+    """sigma_1 of the dense truncation of the ``_unit_scaled`` symbol, scaled back."""
+    scaled, e = _unit_scaled(spec.symbol, n)
+    entries = truncate(LambdaToeplitzSpec(spec.lam, scaled), n).entries
+    return _unscaled(float(np.linalg.svd(entries, compute_uv=False)[0]), e)
+
+
 @given(symbols(max_index=8), disc_lambdas, st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
+@example(FourierSymbol({0: 1e-300, 1: 5e-301}), 1.0, 8)
+@example(FourierSymbol({0: 1e154, 1: 5e153}), 1.0, 8)
+@example(FourierSymbol({0: 1e200, 1: 5e199}), 1.0, 8)
 def test_top_singular_value_matches_dense_svd(phi, lam, n):
     spec = LambdaToeplitzSpec(lam, phi)
-    dense = float(np.linalg.svd(truncate(spec, n).entries, compute_uv=False)[0])
-    # subnormal entries lose their digits in any product, dense or FFT
-    assume(dense == 0.0 or dense > 1e-150)
+    dense = _scaled_dense_top(spec, n)
     assert abs(top_singular_value(spec, n) - dense) <= 1e-12 * dense
+
+
+@given(symbols(max_index=8), disc_lambdas, st.integers(1, 40), st.integers(-1000, 1000))
+@settings(max_examples=60, deadline=None)
+def test_top_singular_value_commutes_with_powers_of_two(phi, lam, n, k):
+    # scaling by 2^k is exact while every part of 2^k phi stays normal or 0
+    parts = [x for _, a in phi.items() for x in (a.real, a.imag) if x != 0.0]
+    assume(all(_TINY <= abs(math.ldexp(x, k)) < math.inf for x in parts))
+    scaled = FourierSymbol({d: complex(math.ldexp(a.real, k), math.ldexp(a.imag, k))
+                            for d, a in phi.items()})
+    top = top_singular_value(LambdaToeplitzSpec(lam, phi), n)
+    assume(top == 0.0 or _TINY <= min(top, math.ldexp(top, k)) < math.inf)
+    assert top_singular_value(LambdaToeplitzSpec(lam, scaled), n) == math.ldexp(top, k)
 
 
 class TestCompactnessSurrogates:
@@ -466,6 +499,16 @@ class TestTraceNormBound:
             spec = random_spec(RNG, radius=radius)
             report = analyze(truncate(spec, 257), spec.lam)
             assert trace_norm_bound_check(report, spec.lam).passed
+
+    def test_verdict_does_not_depend_on_the_scale(self):
+        # 1000 singular values 1e-12 at lambda = 1/2: trace 1e-9 against a
+        # majorant of 5e-12, 200 times over, at every scale
+        for scale in (1.0, 1e12):
+            sing = np.full(1000, 1e-12 * scale)
+            report = spectral._report(sing, math.sqrt(1000) * 1e-12 * scale, 0.5, DEFAULT_RANK_TOL)
+            result = trace_norm_bound_check(report, 0.5)
+            assert not result.passed
+            assert result.tolerance == spectral.TRACE_BOUND_SLACK * sing[0]
 
     def test_rejects_circle_lambda(self):
         report = analyze(truncate(_spec(0.5, {0: 1.0}), 8), 0.5)

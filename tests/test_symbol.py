@@ -3,11 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ltoeplitz import FourierSymbol, read_symbol_file, sawtooth, write_symbol_file
+from ltoeplitz import (
+    FourierSymbol,
+    LambdaToeplitzSpec,
+    read_symbol_file,
+    sawtooth,
+    top_singular_value,
+    write_symbol_file,
+)
 from ltoeplitz.symbol import is_unimodular
 
 from conftest import symbols, unimodular_lambdas
@@ -227,6 +234,37 @@ class TestNorms:
     def test_sup_estimate_is_lower_bound_for_trig_polys(self):
         phi = FourierSymbol({0: 2.0, 1: 1.0, -1: 1.0})
         assert phi.sup_norm_estimate(64) <= 4.0 + 1e-12
+
+    def test_subnormal_symbol_estimate_bounds_sigma_1(self):
+        # ||T_N|| <= sup |phi|; folded unscaled, the subnormal sums lose
+        # their digits and the estimate, 4.047e-320, falls below sigma_1(64)
+        phi = FourierSymbol({0: 3e-320, 1: complex(1e-320, 2e-321), -1: 5e-321})
+        estimate = phi.sup_norm_estimate(64)
+        assert estimate >= top_singular_value(LambdaToeplitzSpec(1.0, phi), 64)
+        scaled = FourierSymbol({n: complex(math.ldexp(a.real, 1070), math.ldexp(a.imag, 1070))
+                                for n, a in phi.items()})
+        assert abs(estimate - math.ldexp(scaled.sup_norm_estimate(64), -1070)) <= 5e-324
+
+    def test_overflowing_values_are_inf(self):
+        # 3e308 at theta = 0 and -1e308 at theta = pi; no numpy warning
+        # arises, which this suite's filters would turn into an error
+        values = FourierSymbol({-1: 1e308, 0: 1e308, 1: 1e308}).evaluate_on_grid(2)
+        assert values[0].real == math.inf
+        assert values[1].real == -1e308
+
+    @given(symbols(max_index=6), st.integers(-1000, 1000), st.integers(1, 20))
+    def test_evaluate_on_grid_commutes_with_powers_of_two(self, phi, k, m):
+        # exact while every part of 2^k phi and each compared value is normal
+        # or 0; both symbols are stored in one order, since the fold sums in it
+        phi, tiny = FourierSymbol(dict(phi.items())), np.finfo(float).tiny
+        parts = [x for _, a in phi.items() for x in (a.real, a.imag) if x != 0.0]
+        assume(all(abs(math.ldexp(x, k)) >= tiny for x in parts))
+        scaled = FourierSymbol({n: complex(math.ldexp(a.real, k), math.ldexp(a.imag, k))
+                                for n, a in phi.items()})
+        values = phi.evaluate_on_grid(m).view(float)
+        want = np.ldexp(values, k)
+        normal = (values == 0.0) | ((np.abs(values) >= tiny) & (np.abs(want) >= tiny))
+        assert np.array_equal(scaled.evaluate_on_grid(m).view(float)[normal], want[normal])
 
 
 class TestSawtooth:
