@@ -21,9 +21,11 @@ operator attached to (lambda, phi):
   logarithms cancel to a bounded jump.
 
   These norms need sigma_1 only. ``top_singular_value`` finds it without
-  forming T_N: Golub-Kahan-Lanczos bidiagonalization on the FFT products of
-  ``operator.prepare``, stopped once the residual of the top Ritz pair is at
-  most 1e-13 * sigma_1. Its Krylov basis, not an N x N matrix, is charged
+  forming T_N: Lanczos on T_N* T_N through the FFT products of
+  ``operator.prepare``, keeping three vectors and no basis, stopped once the
+  residual estimate of the top Ritz pair is at most 1e-13 times the Ritz
+  value (certified without reorthogonalization, Paige 1980). The vectors of
+  one step and the k x k Ritz problem, not an N x N matrix, are charged
   against the memory budget, so these studies run past the dense limit.
   ``svd_study`` and ``finite_rank_study`` need every singular value and
   take the SVD of ``_core``: the core where it is smaller than T_N, T_N
@@ -50,6 +52,7 @@ from .operator import (
     _TINY,
     _bands,
     _checked_size,
+    _next_fast_len,
     _unit_scaled,
     _unscaled,
     powers,
@@ -81,11 +84,16 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-8
 TRACE_BOUND_SLACK = 1e-9
 _SPECTRUM_TOL = 1e-14  # relative error of each eigenvalue
-# Golub-Kahan-Lanczos stops once the top Ritz pair's residual is this small
-# relative to the Ritz value.
+# Lanczos stops once the top Ritz pair's residual is this small relative to
+# the Ritz value.
 KRYLOV_RTOL = 1e-13
 _KRYLOV_SEED = 11
-# The projected bidiagonal is decomposed first at step 1, then each next time
+# Lanczos gives up after this many steps per unit of N. Without
+# reorthogonalization a clustered top can need more than N: the most seen
+# was 1.79 N, over 6000 random two- and three-band symbols at |lambda| = 1
+# with N <= 40.
+_STEPS_PER_N = 4
+# The tridiagonal is decomposed first at step 1, then each next time
 # at step ceil(growth * k): tops that nearly cluster need hundreds of steps,
 # and a decomposition at every one would cost more than the steps themselves.
 _CHECK_GROWTH = 1.15
@@ -143,42 +151,19 @@ def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
         raise SpectralDecompositionError(size, f"SVD failed at N={size}: {exc}") from exc
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Project the span of the orthonormal rows out of w.
-
-    Classical Gram-Schmidt, repeated once when the first pass shrinks w
-    below 1/sqrt(2) of its length (Daniel, Gragg, Kaufman & Stewart 1976).
-    """
-    before = np.linalg.norm(w)
-    for _ in range(2):
-        w -= (basis @ w.conj()).conj() @ basis
-        after = np.linalg.norm(w)
-        if after > math.sqrt(0.5) * before:
-            break
-        before = after
-    return w
-
-
-def _with_room(basis: np.ndarray, rows: int, cap: int) -> np.ndarray:
-    """basis, or a copy with room for ``rows`` rows (doubling, at most cap)."""
-    if rows <= basis.shape[0]:
-        return basis
-    grown = np.empty((min(max(2 * basis.shape[0], 16), cap), basis.shape[1]), dtype=complex)
-    grown[: basis.shape[0]] = basis
-    return grown
-
-
 def _top_ritz(alphas: list, betas: list) -> tuple[float, float]:
-    """sigma_1 of the k x k upper bidiagonal B and |x_k|, the last entry of
-    its top left singular vector, from the top eigenpair of B B^T.
+    """The top eigenvalue theta of the k x k Lanczos tridiagonal and |y_k|,
+    the last entry of its unit eigenvector.
 
-    B B^T is tridiagonal, so it is written down directly (lower triangle).
+    Only the diagonal and the subdiagonal are written: ``eigh`` reads the
+    lower triangle.
     """
-    a = np.asarray(alphas)
-    b = np.asarray(betas[: a.size - 1])
-    gram = np.diag(a * a + np.append(b * b, 0.0)) + np.diag(b * a[1:], -1)
-    vals, vecs = np.linalg.eigh(gram)
-    return math.sqrt(max(float(vals[-1]), 0.0)), abs(float(vecs[-1, -1]))
+    k = len(alphas)
+    tri = np.zeros((k, k))
+    tri.flat[:: k + 1] = alphas
+    tri.flat[k :: k + 1] = betas[: k - 1]
+    vals, vecs = np.linalg.eigh(tri)
+    return float(vals[-1]), abs(float(vecs[-1, -1]))
 
 
 def _start_bytes(count: int, chunk: int = 2**24) -> bytearray:
@@ -195,77 +180,79 @@ def _start_bytes(count: int, chunk: int = 2**24) -> bytearray:
 def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     """sigma_1 of the N x N truncation, matrix-free, to a certified residual.
 
-    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) with full
-    reorthogonalization, from a fixed-seed start vector, on the FFT products
-    of ``prepare`` for the ``_unit_scaled`` symbol, whose every band entry
-    has modulus at most sqrt(2), so no product, norm or Ritz Gram entry
-    overflows and no small symbol squares to zero; sigma is scaled back at
-    the end, inf past the float range. After k steps, A V_k = U_k B_k and
-    A* U_k = V_k B_k* + beta_k v_{k+1} e_k*, with B_k upper bidiagonal. For
-    the top singular triplet (sigma, x, y) of B_k the pair u = U_k x,
-    v = V_k y has A v = sigma u exactly and ||A* u - sigma v|| =
-    beta_k |x_k|, so some singular value of A lies within that residual of
-    sigma, and sigma never exceeds ||A||. The iteration stops once the
-    residual is at most ``KRYLOV_RTOL * sigma``.
+    Lanczos (Lanczos 1950) on A*A, from a fixed-seed start vector, where A is
+    the truncation of the ``_unit_scaled`` symbol: every band entry has
+    modulus at most sqrt(2), so no product, norm or Ritz value overflows and
+    no small symbol squares to zero; sigma is scaled back at the end, inf
+    past the float range. Each step takes w = A*A v - alpha v - beta v_prev
+    from the FFT products of ``prepare`` and keeps only v, v_prev and w, with
+    alpha and beta for the k x k tridiagonal T_k; there is no basis and no
+    reorthogonalization. For the top eigenpair (theta, y) of T_k, the Ritz
+    vector has residual beta_k |y_k| against A*A. Without orthogonality that
+    still certifies theta: a Ritz value whose residual estimate is small lies
+    within that estimate, plus rounding of order eps ||A*A||, of an
+    eigenvalue of A*A (Paige, Lin. Alg. Appl. 34, 1980; Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 13). The iteration stops once
+    beta_k |y_k| <= ``KRYLOV_RTOL * theta``, so sqrt(theta) lies within
+    ``KRYLOV_RTOL * sqrt(theta)`` of a singular value of A. beta_k = 0 means
+    the Krylov space is invariant and theta exact; a zero truncation stops
+    there at step 1 and gives 0.0.
 
-    A zero truncation breaks down at step 1 and gives 0.0. The two bases
-    (2 k N complex entries) are charged against ``LT_MEM_BUDGET_MB``; a step
-    that would exceed it raises ``MemoryBudgetExceeded``. N steps without
-    the certificate raise ``SpectralDecompositionError``.
+    Lost orthogonality repeats converged Ritz values, so a clustered top may
+    need more than N steps: 4N steps (``_STEPS_PER_N``) without the
+    certificate raise ``SpectralDecompositionError``. The vectors of one step
+    are charged against ``LT_MEM_BUDGET_MB`` before any is allocated, and at
+    each check the k x k Ritz problem beside them; either past the budget
+    raises ``MemoryBudgetExceeded``.
     """
     n = _checked_size(size)
     budget = resolve_budget_mb()
-    step_bytes = 2 * n * np.dtype(complex).itemsize
-    step_limit = max(int(budget * 2**20 // step_bytes), 0)
-    cap = min(n, step_limit)
-
-    def over_budget(k: int) -> MemoryBudgetExceeded:
-        return MemoryBudgetExceeded(
-            f"N={n}: step k={k} of the Krylov basis needs "
-            f"{k * step_bytes / 2**20:.2f} MB; budget {budget:g} MB allows k <= {step_limit}"
-        )
-
-    if step_limit < 1:
-        raise over_budget(1)
     scaled, e = _unit_scaled(spec.symbol, n)
+    # One step holds 7 complex vectors of length N: v, v_prev, w, u = A v
+    # while A* u is formed, one working vector of that product, and the
+    # powers of lambda and of conj(lambda) (length S <= N); and 6 of length
+    # L = next_fast_len(N + K), K the largest |d| < N, which bounds every FFT
+    # length of ``prepare``: the four coefficient FFTs and the two transforms
+    # of the product in flight.
+    width = max((abs(d) for d, _ in scaled.items()), default=0)
+    held = 16 * (7 * n + 6 * _next_fast_len(n + width))
+    if held > budget * 2**20:
+        raise MemoryBudgetExceeded(
+            f"N={n}: one Lanczos step needs {held / 2**20:.2f} MB; "
+            f"budget {budget:g} MB (LT_MEM_BUDGET_MB)"
+        )
     matvec, rmatvec = prepare(LambdaToeplitzSpec(spec.lam, scaled), n)
-    bits = np.frombuffer(_start_bytes(16 * n), dtype=np.uint64)
-    v = (bits / 2.0**64 - 0.5).view(complex)
+    v = (np.frombuffer(_start_bytes(16 * n), dtype=np.uint64) / 2.0**64 - 0.5).view(complex)
     v /= np.linalg.norm(v)
-    right = np.empty((0, n), dtype=complex)
-    left = np.empty((0, n), dtype=complex)
+    v_prev = np.zeros(n, dtype=complex)
     alphas: list[float] = []
     betas: list[float] = []
+    beta = 0.0
+    cap = _STEPS_PER_N * n
     check = 1
-    for k in range(1, n + 1):
-        if k > step_limit:
-            raise over_budget(k)
-        right, left = _with_room(right, k, cap), _with_room(left, k, cap)
-        right[k - 1] = v
-        u = matvec(v)
-        if k > 1:
-            u -= betas[-1] * left[k - 2]
-        u = _orthogonalize(u, left[: k - 1])
-        alpha = float(np.linalg.norm(u))
-        alphas.append(alpha)
-        if alpha == 0.0:
-            # A maps the Krylov space into span(U_{k-1}): an invariant
-            # subspace, whose top singular value B_k holds exactly.
-            return _unscaled(_top_ritz(alphas, betas)[0], e)
-        u /= alpha
-        left[k - 1] = u
-        w = rmatvec(u) - alpha * v
-        w = _orthogonalize(w, right[:k])
+    for k in range(1, cap + 1):
+        w = rmatvec(matvec(v))
+        w -= beta * v_prev
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v
         beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
         betas.append(beta)
-        if k >= check or beta == 0.0 or k == n:
-            sigma, last = _top_ritz(alphas, betas)
-            if beta * last <= KRYLOV_RTOL * sigma:
-                return _unscaled(sigma, e)
+        if k >= check or beta == 0.0 or k == cap:
+            ritz = 16 * k * k
+            if held + ritz > budget * 2**20:
+                raise MemoryBudgetExceeded(
+                    f"N={n}: the Ritz problem at step k={k} needs {ritz / 2**20:.2f} MB "
+                    f"besides {held / 2**20:.2f} MB of Lanczos vectors; "
+                    f"budget {budget:g} MB (LT_MEM_BUDGET_MB)"
+                )
+            theta, last = _top_ritz(alphas, betas)
+            if beta * last <= KRYLOV_RTOL * theta or beta == 0.0:
+                return _unscaled(math.sqrt(max(theta, 0.0)), e)
             check = math.ceil(_CHECK_GROWTH * k)
-        v = w / beta
+        v_prev, v = v, w / beta
     raise SpectralDecompositionError(
-        n, f"Golub-Kahan-Lanczos left sigma_1 uncertified after N={n} steps"
+        n, f"Lanczos left sigma_1 uncertified after {cap} steps ({_STEPS_PER_N}N, N={n})"
     )
 
 

@@ -407,7 +407,7 @@ class TestBoundaryInput:
     ):
         # one grid fits in 1 MB; the grids that are held together do not, and
         # norms charges them before its study, which would hide them behind
-        # a Krylov-basis refusal or run to the end first
+        # a Lanczos budget refusal or run to the end first
         def study(*args):
             raise AssertionError("the norms study ran before the grid was charged")
 
@@ -473,13 +473,13 @@ class TestBoundaryInput:
         assert "kernel_quadrature" not in capsys.readouterr().out
 
     def test_norms_past_the_krylov_budget(self, analytic_path, monkeypatch, capsys):
-        # one Krylov step at N = 2e7 takes 610 MB: refused before anything is allocated
+        # one Lanczos step at N = 2e7 takes 3968 MB: refused before anything is allocated
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "64")
         code, peak_mb = peak_traced_mb(
             run_cli, "norms", "--lambda-re", "1", "--sizes", "20000000", "--symbol", analytic_path
         )
         assert code == 2 and peak_mb < 1.0
-        assert "step k=1 of the Krylov basis" in capsys.readouterr().err
+        assert "N=20000000: one Lanczos step needs" in capsys.readouterr().err
 
     def test_wco_names_the_flag_and_the_index(self, two_cos_path, capsys):
         assert run_cli(
@@ -993,8 +993,8 @@ class TestRankSpectrumNorms:
 
     @pytest.mark.parametrize("a", [1e154, 1e-300])
     def test_norms_at_extreme_scales(self, tmp_path, a):
-        # unscaled, the Ritz Gram overflows at 1e154 and the first Krylov
-        # step underflows to a zero norm at 1e-300
+        # unscaled, the Ritz values, about sigma_1^2 = 2.25 a^2, overflow at
+        # 1e154, and the Lanczos alpha = |A v|^2 underflows to 0 at 1e-300
         path = tmp_path / "s.json"
         write_symbol_file(FourierSymbol({0: a, 1: a / 2}), path)
         out = tmp_path / "n.json"
@@ -1071,7 +1071,8 @@ class TestSawtoothDemo:
         assert json.loads(out.read_text())["pass"] is False
 
     def test_runs_past_the_dense_memory_limit(self, tmp_path, monkeypatch):
-        # 4 MB holds a dense N=512 matrix, or 128 steps of the N=1024 basis
+        # 4 MB holds a dense N=512 matrix, or the N=1024 Lanczos vectors and
+        # a Ritz problem of up to about 500 steps
         plain, budgeted = tmp_path / "plain.json", tmp_path / "budgeted.json"
         assert run_cli("sawtooth-demo", "--sizes", "64,1024", "--out", plain) == 1
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")

@@ -30,7 +30,7 @@ from ltoeplitz import spectral
 from ltoeplitz.operator import _TINY, _unit_scaled, _unscaled
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
-from conftest import disc_lambdas, random_spec, symbols
+from conftest import disc_lambdas, peak_traced_mb, random_spec, symbols
 
 RNG = np.random.default_rng(777)
 
@@ -383,21 +383,38 @@ class TestTopSingularValue:
     @pytest.mark.parametrize("lam", [1.0, -1.0, 1j])
     @pytest.mark.parametrize("a", [1e-300, 1e154, 1e200])
     def test_extreme_scales_match_the_scaled_dense_svd(self, a, lam, n):
-        # unscaled, the first alpha underflows to 0 at 1e-300, and the Ritz
-        # Gram overflows at 1e154
+        # unscaled, the Lanczos alpha = |A v|^2 underflows to 0 at 1e-300,
+        # and the Ritz values, about sigma_1^2 = 2.25 a^2, overflow at 1e154
         spec = _spec(lam, {0: a, 1: a / 2})
         dense = _scaled_dense_top(spec, n)
         assert abs(top_singular_value(spec, n) - dense) <= 1e-13 * dense
 
-    def test_basis_is_charged_against_the_budget(self, monkeypatch):
+    def test_step_vectors_are_charged_against_the_budget(self, monkeypatch):
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
         unbudgeted = top_singular_value(spec, 1024)
-        # one step of two length-1024 complex vectors needs 32 KiB
+        # one Lanczos step holds 7 vectors of length 1024 and 6 of length 2048
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
-        with pytest.raises(MemoryBudgetExceeded, match=r"N=1024.*k=1\b"):
+        with pytest.raises(MemoryBudgetExceeded, match=r"^N=1024: one Lanczos step needs 0\.30 MB"):
             top_singular_value(spec, 1024)
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
         assert top_singular_value(spec, 1024) == unbudgeted
+
+    def test_ritz_problem_is_charged_against_the_budget(self, monkeypatch):
+        # the vectors of a step fit 1 MB, but 2 + 2cos at N = 1024 takes 800
+        # steps, and its Ritz problem of 16 k^2 bytes outgrows 1 MB at the
+        # check at k = 260
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        with pytest.raises(MemoryBudgetExceeded, match=(
+                r"^N=1024: the Ritz problem at step k=260 needs 1\.03 MB "
+                r"besides 0\.20 MB of Lanczos vectors; budget 1 MB")):
+            top_singular_value(_spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
+
+    def test_clustered_top_keeps_three_vectors(self):
+        # no basis of k vectors of length N is kept: the traced peak is the
+        # Ritz problem, 16 k^2 bytes at about 800 steps
+        got, peak_mb = peak_traced_mb(top_singular_value, _spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
+        assert abs(got - (2.0 + 2.0 * math.cos(math.pi / 1025))) <= 1e-10
+        assert peak_mb <= 16.0
 
 
 def _scaled_dense_top(spec, n):
@@ -412,6 +429,10 @@ def _scaled_dense_top(spec, n):
 @example(FourierSymbol({0: 1e-300, 1: 5e-301}), 1.0, 8)
 @example(FourierSymbol({0: 1e154, 1: 5e153}), 1.0, 8)
 @example(FourierSymbol({0: 1e200, 1: 5e199}), 1.0, 8)
+# clustered tops that Lanczos certifies only after more than N steps
+@example(FourierSymbol({0: 0.3, 1: 1.8, 2: -0.2}), 1j, 33)
+@example(FourierSymbol({0: 0.3, 1: -1.1, 2: -1.6}), 1j, 27)
+@example(FourierSymbol({-2: -0.5 + 0.5j, -1: 1.4 - 0.6j, 0: 0.3}), 1.0, 32)
 def test_top_singular_value_matches_dense_svd(phi, lam, n):
     spec = LambdaToeplitzSpec(lam, phi)
     dense = _scaled_dense_top(spec, n)
