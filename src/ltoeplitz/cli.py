@@ -9,7 +9,8 @@ it reads, spelled out in full; any other flag is a usage error.
 Exit status: 0 success, 1 a verification residual exceeded its tolerance or
 a bound failed (the result is still written), 2 input error (bad JSON, a
 symbol field of the wrong type, |lambda| > 1, malformed sizes, missing files,
-a flag the command does not take).
+a flag the command does not take) or a decomposition that did not finish (a
+LAPACK SVD failure, or Lanczos without its certificate), named with its N.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def run(args: argparse.Namespace) -> int:
         # overflow warnings on the way there would only be noise on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             return _HANDLERS[args.command](args)
-    except (CliInputError, ValueError, OSError) as exc:
+    except (CliInputError, ValueError, OSError, spectral.SpectralDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -10,13 +10,13 @@ Hilbert-Schmidt norm of W by kernel quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .operator import (
     LambdaToeplitzSpec,
     TruncatedOperator,
+    _Record,
     _bands,
     _checked_size,
     _disc_point,
@@ -47,37 +47,34 @@ DEFAULT_WCO_SUM_TOL = 1e-14
 DEFAULT_TOEPLITZ_COMP_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class WeightedCompositionSpec:
+class WeightedCompositionSpec(_Record):
     """W f = weight * (f o tau) with tau(z) = multiplier * z.
 
     The weight must be analytic (no negative support); the matrix is then
     lower triangular with entry(n, m) = multiplier^m * weight_{n-m}.
     """
 
-    weight: FourierSymbol
-    multiplier: complex
+    __slots__ = ("weight", "multiplier")
 
-    def __post_init__(self):
-        object.__setattr__(self, "multiplier", _disc_point("multiplier", self.multiplier))
-        negative = [n for n in self.weight.support if n < 0]
+    def __init__(self, weight: FourierSymbol, multiplier: complex):
+        multiplier = _disc_point("multiplier", multiplier)
+        negative = [n for n in weight.support if n < 0]
         if negative:
             raise ValueError(f"weight must be analytic; found index {negative[0]}")
+        super().__init__(weight, multiplier)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(_Record):
     """The identity checks give ``residual`` and ``tolerance`` in the units of
     the matrix entries (their values on s * phi divided by s); ``wco-spectrum``
     relative errors; ``trace-norm-bound`` the trace norm's excess over its
     majorant, in units of the singular values, and the slack times sigma_1."""
 
-    identity: str
-    size: int
-    residual: float
-    tolerance: float
-    passed: bool
-    variant: str | None = None
+    __slots__ = ("identity", "size", "residual", "tolerance", "passed", "variant")
+
+    def __init__(self, identity: str, size: int, residual: float, tolerance: float,
+                 passed: bool, variant: str | None = None):
+        super().__init__(identity, size, residual, tolerance, passed, variant)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,11 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, _unit_exponent
+from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, _unit_exponent, is_unimodular
 
 __all__ = [
     "MEM_BUDGET_ENV",
@@ -99,27 +98,63 @@ def _disc_point(name: str, value: complex) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class LambdaToeplitzSpec:
+class _Record:
+    """An immutable record: the fields are the class's ``__slots__``, set once
+    by ``__init__`` in that order, compared and hashed by value, and named in
+    ``repr``. Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LambdaToeplitzSpec(_Record):
     """Parameter pair (lambda, symbol) with |lambda| <= 1."""
 
-    lam: complex
-    symbol: FourierSymbol
+    __slots__ = ("lam", "symbol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _disc_point("lambda", self.lam))
+    def __init__(self, lam: complex, symbol: FourierSymbol):
+        super().__init__(_disc_point("lambda", lam), symbol)
 
     def describe(self) -> str:
         return f"lambda={self.lam!r} support={list(self.symbol.support)}"
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """Dense N x N upper-left corner of an operator matrix."""
+class TruncatedOperator(_Record):
+    """Dense N x N upper-left corner of an operator matrix; equal only to itself."""
 
-    size: int
-    entries: np.ndarray
-    provenance: str = ""
+    __slots__ = ("size", "entries", "provenance")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, size: int, entries: np.ndarray, provenance: str = ""):
+        super().__init__(size, entries, provenance)
 
 
 def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
@@ -260,6 +295,13 @@ def _convolve(hat: np.ndarray, signal: np.ndarray, length: int) -> np.ndarray:
     return np.fft.ifft(np.multiply(hat, spectrum, out=spectrum))
 
 
+def _checked_vector(x, n: int) -> np.ndarray:
+    vec = np.asarray(x, dtype=complex)
+    if vec.shape != (n,):
+        raise ValueError(f"vector shape {vec.shape} does not match truncation size {n}")
+    return vec
+
+
 def _prepared_matvec(pows: np.ndarray, index: np.ndarray, value: np.ndarray, n: int):
     """Matvec against the N x N truncation with bands a_index = value, |index| < N,
     and lambda powers ``pows``, whose rows and columns from side = pows.size
@@ -289,10 +331,7 @@ def _prepared_matvec(pows: np.ndarray, index: np.ndarray, value: np.ndarray, n: 
         minus_hat = np.fft.fft(reflected, minus_len)
 
     def matvec(x) -> np.ndarray:
-        vec = np.asarray(x, dtype=complex)
-        if vec.shape != (n,):
-            raise ValueError(f"vector shape {vec.shape} does not match truncation size {n}")
-        vec = vec[:side]
+        vec = _checked_vector(x, n)[:side]
         out = np.zeros(n, dtype=complex)
         block = out[:side]
         if plus_hat is not None:
@@ -306,25 +345,61 @@ def _prepared_matvec(pows: np.ndarray, index: np.ndarray, value: np.ndarray, n: 
     return matvec
 
 
+def _circle_products(lam: complex, pows: np.ndarray, index: np.ndarray, value: np.ndarray):
+    """``(matvec, rmatvec)`` for lambda near the unit circle, from
+    T_N = D Toeplitz_N(psi) with D = diag(``pows``), psi_d = lambda^-d a_d
+    for d >= 0 and psi_d = a_d for d < 0 (bands a_index = value, |index| < N).
+
+    lambda^min(n, m) = lambda^n lambda^-(n - m) wherever n >= m, so the
+    factorization holds for every nonzero lambda; D is applied, not assumed
+    unitary. psi is laid out cyclically, psi_d in slot d mod L, and a
+    cyclic convolution of length L >= N + K, K the largest |d|, gives
+    every sum_m psi_{n-m} x_m with n, m < N without wrapping. Toeplitz_N(psi)*
+    is Toeplitz_N of conj(psi_{-d}), whose cyclic layout has the FFT
+    conj(psi_hat). So each product is one convolution: two FFTs.
+    """
+    n = pows.size
+    degree = int(index.max(initial=0))
+    length = _next_fast_len(n + max(degree, -int(index.min())))
+    kernel = np.zeros(length, dtype=complex)
+    plus = index >= 0
+    kernel[index[plus]] = value[plus] * powers(1 / lam, degree + 1)[index[plus]]
+    kernel[index[~plus]] = value[~plus]  # a negative d lands in slot L + d
+    hat = np.fft.fft(kernel)
+    hat_adjoint, pows_adjoint = hat.conj(), pows.conj()
+
+    def matvec(x) -> np.ndarray:
+        return pows * _convolve(hat, _checked_vector(x, n), length)[:n]
+
+    def rmatvec(y) -> np.ndarray:
+        return _convolve(hat_adjoint, pows_adjoint * _checked_vector(y, n), length)[:n]
+
+    return matvec, rmatvec
+
+
 def prepare(spec: LambdaToeplitzSpec, size: int):
     """``(matvec, rmatvec)`` against the N x N truncation and its adjoint.
 
     Only the bands |d| < N reach the truncation; let K be their largest |d|.
-    With U nonzero ``powers`` of lambda, every entry with min(n, m) >= U is
-    an exact 0, so rows and columns from S = min(N, U + K) on are zero and
-    only the leading S x S block is applied (S = N for |lambda| = 1). The
-    lambda powers and the FFTs of both coefficient halves are taken once, so
-    each product costs four FFTs of length about S + K. The adjoint of the
-    operator for (lambda, phi) is the operator for (conj lambda, phi*), where
-    phi* = ``symbol.conjugate()`` has coefficients conj(a_{-d}); its FFTs are
-    taken at the first ``rmatvec`` call, so ``apply_fast`` does not pay for
-    them.
+    Within ``UNIT_CIRCLE_TOL`` of the unit circle, T_N = diag(lambda^n)
+    Toeplitz_N(psi) (``_circle_products``), so each product is one
+    convolution of length about N + K: two FFTs. Otherwise, with U nonzero
+    ``powers`` of lambda, every entry with min(n, m) >= U is an exact 0, so
+    rows and columns from S = min(N, U + K) on are zero and only the
+    leading S x S block is applied. The lambda powers and the FFTs of both
+    coefficient halves are taken once, so each product costs four FFTs of
+    length about S + K. The adjoint of the operator for (lambda, phi) is the
+    operator for (conj lambda, phi*), where phi* = ``symbol.conjugate()``
+    has coefficients conj(a_{-d}); its FFTs are taken at the first
+    ``rmatvec`` call, so ``apply_fast`` does not pay for them.
     """
     n = _checked_size(size)
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
     index = np.array([d for d, _ in bands], dtype=np.intp)
     value = np.array([a for _, a in bands], dtype=complex)
     pows = powers(spec.lam, n)
+    if index.size and is_unimodular(spec.lam):
+        return _circle_products(spec.lam, pows, index, value)
     pows = pows[: min(n, np.count_nonzero(pows) + int(np.abs(index).max(initial=0)))]
     adjoint = []
 

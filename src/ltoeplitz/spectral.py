@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .operator import (
     LambdaToeplitzSpec,
     MemoryBudgetExceeded,
     TruncatedOperator,
+    _Record,
     _TINY,
     _bands,
     _checked_size,
@@ -97,6 +97,9 @@ _STEPS_PER_N = 4
 # at step ceil(growth * k): tops that nearly cluster need hundreds of steps,
 # and a decomposition at every one would cost more than the steps themselves.
 _CHECK_GROWTH = 1.15
+# Bytes a Lanczos step holds besides its vectors and the symbol: about 1.5 KB
+# per FFT call and the loop's own objects.
+_STEP_OVERHEAD = 2**14
 _EPS = float(np.finfo(float).eps)
 
 
@@ -108,21 +111,22 @@ class SpectralDecompositionError(RuntimeError):
         self.size = size
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralReport:
-    """Singular-value summary of one truncation.
+class SpectralReport(_Record):
+    """Singular-value summary of one truncation; equal only to itself.
 
     decay_margins[m] = |lambda|^m * sigma_1 - sigma_{2m+1}; a negative margin
     beyond rounding would certify a violation of the decay bound.
     """
 
-    size: int
-    singular_values: np.ndarray
-    operator_norm: float
-    frobenius_norm: float
-    trace_norm: float
-    numerical_rank: int
-    decay_margins: np.ndarray
+    __slots__ = ("size", "singular_values", "operator_norm", "frobenius_norm",
+                 "trace_norm", "numerical_rank", "decay_margins")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, size: int, singular_values: np.ndarray, operator_norm: float,
+                 frobenius_norm: float, trace_norm: float, numerical_rank: int,
+                 decay_margins: np.ndarray):
+        super().__init__(size, singular_values, operator_norm, frobenius_norm, trace_norm,
+                         numerical_rank, decay_margins)
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,14 +212,23 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     n = _checked_size(size)
     budget = resolve_budget_mb()
     scaled, e = _unit_scaled(spec.symbol, n)
-    # One step holds 7 complex vectors of length N: v, v_prev, w, u = A v
-    # while A* u is formed, one working vector of that product, and the
-    # powers of lambda and of conj(lambda) (length S <= N); and 6 of length
-    # L = next_fast_len(N + K), K the largest |d| < N, which bounds every FFT
-    # length of ``prepare``: the four coefficient FFTs and the two transforms
-    # of the product in flight.
-    width = max((abs(d) for d, _ in scaled.items()), default=0)
-    held = 16 * (7 * n + 6 * _next_fast_len(n + width))
+    # One step holds, near the unit circle (``operator._circle_products``),
+    # 6 complex vectors of length N: v, v_prev, the powers of lambda and of
+    # conj(lambda), u = A v and conj(lambda^n) u while A* u is formed; and 5
+    # of length L = next_fast_len(N + K), K the largest |d| < N: the kernel
+    # FFT and its conjugate, the last w (a view into its transform) and the
+    # two transforms of the product in flight. Elsewhere it holds 8 of length
+    # N: v, v_prev, w, the two powers (length S <= N), u, the product's output
+    # and one working vector; and 6 of length L, which bounds every FFT length
+    # of ``prepare``: the four coefficient FFTs and the two transforms in
+    # flight. Each stored coefficient adds at most 256 bytes: the sorted
+    # (d, a) pair ``_unit_scaled`` reads it into and, for |d| < N, its entry
+    # in the scaled symbol and in the band arrays of ``prepare``. The FFT
+    # calls and the loop itself hold a few KB more (``_STEP_OVERHEAD``).
+    vectors, transforms = (6, 5) if is_unimodular(spec.lam) else (8, 6)
+    length = _next_fast_len(n + scaled.max_abs_index)
+    held = (16 * (vectors * n + transforms * length) + 256 * len(spec.symbol.support)
+            + _STEP_OVERHEAD)
     if held > budget * 2**20:
         raise MemoryBudgetExceeded(
             f"N={n}: one Lanczos step needs {held / 2**20:.2f} MB; "
@@ -239,7 +252,9 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
         alphas.append(alpha)
         betas.append(beta)
         if k >= check or beta == 0.0 or k == cap:
-            ritz = 16 * k * k
+            # the tridiagonal and its eigenvectors, 16 k^2 bytes, and the
+            # eigenvalues and the lists of alphas and betas, at most 96 k
+            ritz = 16 * k * (k + 6)
             if held + ritz > budget * 2**20:
                 raise MemoryBudgetExceeded(
                     f"N={n}: the Ritz problem at step k={k} needs {ritz / 2**20:.2f} MB "

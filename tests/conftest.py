@@ -33,6 +33,18 @@ disc_lambdas = st.complex_numbers(
 )
 
 
+# lambda on the unit circle, and one within UNIT_CIRCLE_TOL of it, where
+# ``prepare`` applies T_N = diag(lambda^n) Toeplitz_N(psi) by one convolution
+CIRCLE_LAMBDAS = [1.0, -1.0, 1j, cmath.exp(0.7j), (1 - 1e-13) * cmath.exp(0.3j)]
+# each as (symbol, N); the last has bands |d| >= N, which must drop out
+CIRCLE_CASES = {
+    "analytic": ({0: 1.0 - 0.5j, 1: 2.0j, 4: -1.5}, 48),
+    "coanalytic": ({-1: 0.5 + 1.0j, -3: -2.0, -6: 1.0j}, 48),
+    "two-sided": ({-5: 1.0j, -2: 1.0 - 1.0j, 0: 0.5, 1: 2.0j, 3: -0.7 + 0.2j}, 48),
+    "K >= N": ({d: complex(1.0 / (1 + abs(d)), 0.1 * d) for d in range(-40, 41)}, 24),
+}
+
+
 def random_symbol(rng, max_index=8, analytic=False, min_terms=1, max_terms=6):
     """Random finitely supported symbol with standard-normal complex values."""
     lo = 0 if analytic else -max_index

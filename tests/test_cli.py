@@ -184,6 +184,26 @@ class TestExitStatusContract:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_lanczos_without_its_certificate_is_two(self, tmp_path, monkeypatch, capsys):
+        # this clustered top needs more than N steps; allow only N
+        sym = tmp_path / "clustered.json"
+        write_symbol_file(FourierSymbol({0: 0.3, 1: 1.8, 2: -0.2}), sym)
+        monkeypatch.setattr(ltoeplitz.spectral, "_STEPS_PER_N", 1)
+        out = tmp_path / "norms.json"
+        code = run_cli("norms", "--symbol", sym, "--lambda-im", "1", "--sizes", "33", "--out", out)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: Lanczos left sigma_1 uncertified after 33 steps (1N, N=33)\n")
+
+    def test_a_failed_svd_is_two(self, two_cos_path, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        code = run_cli("svd", "--symbol", two_cos_path, "--lambda-re", "0.5", "--sizes", "8")
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: SVD failed at N=8: SVD did not converge\n")
+
 
 class TestBandwiseMemory:
     """verify and spectrum compare bands in O(N) memory, past the dense limit."""

@@ -24,6 +24,18 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_adds_no_dataclasses():
+    # the records are __slots__ classes: dataclasses, and the inspect module
+    # it imports, would add some milliseconds to every process
+    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+    code = ("import sys, numpy; before = set(sys.modules); import ltoeplitz.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def _run_in_fresh_process(runs) -> str:
     """Exit codes of the argv lists, run in one new process, and whether
     scipy got loaded."""

@@ -22,7 +22,7 @@ from ltoeplitz import (
 )
 from ltoeplitz.output import Records, read_matrix_csv, read_vector_csv
 
-from conftest import disc_lambdas, random_spec, symbols
+from conftest import CIRCLE_CASES, CIRCLE_LAMBDAS, disc_lambdas, random_spec, symbols
 
 RNG = np.random.default_rng(1234)
 TINY = np.finfo(float).tiny
@@ -357,6 +357,27 @@ class TestPrepare:
         for product in (matvec, rmatvec):
             with pytest.raises(ValueError, match="truncation size 4"):
                 product(np.zeros(5))
+
+
+class TestUnitCircleProducts:
+    """Near the circle each product is one convolution: T_N = D Toeplitz_N(psi)."""
+
+    @pytest.mark.parametrize("lam", CIRCLE_LAMBDAS)
+    @pytest.mark.parametrize("case", CIRCLE_CASES)
+    def test_products_match_the_truncation(self, lam, case):
+        coeffs, size = CIRCLE_CASES[case]
+        spec = _spec(lam, coeffs)
+        dense = truncate(spec, size).entries
+        x = RNG.standard_normal(size) + 1j * RNG.standard_normal(size)
+        matvec, rmatvec = prepare(spec, size)
+        for got, want in ((apply_fast(spec, x), dense @ x), (matvec(x), dense @ x),
+                          (rmatvec(x), dense.conj().T @ x)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_truncation_gives_exact_zeros(self):
+        # the only band lies outside the truncation
+        y = apply_fast(_spec(1j, {9: 1.0}), np.ones(4))
+        assert np.array_equal(y, np.zeros(4)) and not np.signbit(y.view(float)).any()
 
 
 class TestRecurrenceResidual:

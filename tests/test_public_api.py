@@ -8,9 +8,11 @@ list and the package namespace together.
 
 import ast
 import inspect
+import pickle
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ltoeplitz
@@ -69,3 +71,49 @@ def test_every_public_function_has_a_caller():
         if inspect.isfunction(getattr(m, name)) and name not in named | imported | {"entry"}
     ]
     assert uncalled == []
+
+
+RECORDS = [
+    (operator.LambdaToeplitzSpec, (0.5 + 0j, symbol.FourierSymbol({0: 1.0})), True),
+    (factorization.WeightedCompositionSpec, (symbol.FourierSymbol({1: 2.0}), 0.5 + 0j), True),
+    (factorization.VerificationResult, ("unitary", 3, 0.1, 0.2, True, None), True),
+    (operator.TruncatedOperator, (2, np.eye(2), ""), False),
+    (spectral.SpectralReport, (1, np.ones(1), 1.0, 1.0, 1.0, 1, np.zeros(0)), False),
+]
+
+
+@pytest.mark.parametrize("record, values, by_value", RECORDS, ids=lambda r: getattr(r, "__name__", ""))
+def test_records_are_immutable(record, values, by_value):
+    """The five records are __slots__ classes built by position or keyword,
+    named field by field in ``repr``; three compare and hash by value, two
+    only by identity, and none takes an assignment."""
+    made = record(*values)
+    same = record(**dict(zip(record.__slots__, values)))
+    assert not hasattr(made, "__dict__")
+    assert [getattr(made, name) is value for name, value in zip(record.__slots__, values)] == (
+        [True] * len(values))
+    assert (made == same) is by_value and made == made
+    if by_value:
+        assert hash(made) == hash(same)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(record.__slots__, values))
+    assert repr(made) == f"{record.__name__}({fields})"
+    for name in (record.__slots__[0], "unknown"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(made, name, None)
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        delattr(made, record.__slots__[0])
+    restored = pickle.loads(pickle.dumps(made))
+    assert type(restored) is record and repr(restored) == repr(made)
+
+
+def test_record_defaults_and_checks():
+    assert operator.TruncatedOperator(1, np.ones((1, 1))).provenance == ""
+    assert factorization.VerificationResult("unitary", 1, 0.0, 1.0, True).variant is None
+    assert repr(operator.LambdaToeplitzSpec(0.5, symbol.FourierSymbol({0: 1.0}))) == (
+        "LambdaToeplitzSpec(lam=(0.5+0j), symbol=FourierSymbol({0: 1+0j}))")
+    with pytest.raises(ValueError, match=r"^\|lambda\| = 2\.0 lies outside the closed unit disc$"):
+        operator.LambdaToeplitzSpec(2, symbol.FourierSymbol())
+    with pytest.raises(ValueError, match="^weight must be analytic; found index -1$"):
+        factorization.WeightedCompositionSpec(symbol.FourierSymbol({-1: 1.0}), 0.5)
+    with pytest.raises(ValueError, match=r"^multiplier = \(nan\+0j\) is not finite$"):
+        factorization.WeightedCompositionSpec(symbol.FourierSymbol({1: 1.0}), float("nan"))

@@ -30,7 +30,7 @@ from ltoeplitz import spectral
 from ltoeplitz.operator import _TINY, _unit_scaled, _unscaled
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
-from conftest import disc_lambdas, peak_traced_mb, random_spec, symbols
+from conftest import CIRCLE_CASES, CIRCLE_LAMBDAS, disc_lambdas, peak_traced_mb, random_spec, symbols
 
 RNG = np.random.default_rng(777)
 
@@ -392,21 +392,22 @@ class TestTopSingularValue:
     def test_step_vectors_are_charged_against_the_budget(self, monkeypatch):
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
         unbudgeted = top_singular_value(spec, 1024)
-        # one Lanczos step holds 7 vectors of length 1024 and 6 of length 2048
+        # one Lanczos step holds 6 vectors of length 1024, 5 of length 2048,
+        # 256 bytes for each of the 2049 coefficients and 16 KB more
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
-        with pytest.raises(MemoryBudgetExceeded, match=r"^N=1024: one Lanczos step needs 0\.30 MB"):
+        with pytest.raises(MemoryBudgetExceeded, match=r"^N=1024: one Lanczos step needs 0\.77 MB"):
             top_singular_value(spec, 1024)
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
         assert top_singular_value(spec, 1024) == unbudgeted
 
     def test_ritz_problem_is_charged_against_the_budget(self, monkeypatch):
         # the vectors of a step fit 1 MB, but 2 + 2cos at N = 1024 takes 800
-        # steps, and its Ritz problem of 16 k^2 bytes outgrows 1 MB at the
-        # check at k = 260
+        # steps, and its Ritz problem of 16 k (k + 6) bytes outgrows 1 MB at
+        # the check at k = 260
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
         with pytest.raises(MemoryBudgetExceeded, match=(
-                r"^N=1024: the Ritz problem at step k=260 needs 1\.03 MB "
-                r"besides 0\.20 MB of Lanczos vectors; budget 1 MB")):
+                r"^N=1024: the Ritz problem at step k=260 needs 1\.06 MB "
+                r"besides 0\.19 MB of Lanczos vectors; budget 1 MB")):
             top_singular_value(_spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
 
     def test_clustered_top_keeps_three_vectors(self):
@@ -415,6 +416,63 @@ class TestTopSingularValue:
         got, peak_mb = peak_traced_mb(top_singular_value, _spec(1.0, {0: 2.0, 1: 1.0, -1: 1.0}), 1024)
         assert abs(got - (2.0 + 2.0 * math.cos(math.pi / 1025))) <= 1e-10
         assert peak_mb <= 16.0
+
+    def test_traced_peak_stays_within_the_charge(self, monkeypatch):
+        # the ramp with K = N - 1 at lambda = -1: the symbol's O(K) copies sit
+        # beside the vectors of one step
+        spec = LambdaToeplitzSpec(-1.0, sawtooth(1023))
+        top = top_singular_value(spec, 1024)
+        _, peak_mb = peak_traced_mb(top_singular_value, spec, 1024)
+        # the charge is at least the peak: a budget just below it is refused
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(peak_mb * (1 - 1e-9)))
+        with pytest.raises(MemoryBudgetExceeded, match="one Lanczos step needs"):
+            top_singular_value(spec, 1024)
+        # and at most twice the peak
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(2 * peak_mb))
+        assert top_singular_value(spec, 1024) == top
+
+    @pytest.mark.parametrize("lam", CIRCLE_LAMBDAS)
+    @pytest.mark.parametrize("case", CIRCLE_CASES)
+    def test_unit_circle_norm_matches_the_dense_svd(self, lam, case):
+        coeffs, size = CIRCLE_CASES[case]
+        spec = _spec(lam, coeffs)
+        dense = analyze(truncate(spec, size), lam).operator_norm
+        assert abs(top_singular_value(spec, size) - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("lam, coeffs, per_step", [
+        (1j, {0: 1.0, 2: 0.5j}, 4),
+        (-1.0, {-3: 1.0, -1: 0.5j}, 4),
+        (cmath.exp(0.7j), {-2: 1.0, 0: 0.3, 1: 0.5j}, 4),
+        # inside the disc: two FFTs for each coefficient half of a product;
+        # the adjoint of an analytic symbol has a coanalytic half as well
+        (0.8, {-2: 1.0, 0: 0.3, 1: 0.5j}, 8),
+        (0.5j, {0: 0.3, 1: 0.5j}, 6),
+    ])
+    def test_fft_calls_per_lanczos_step(self, monkeypatch, lam, coeffs, per_step):
+        calls, starts = [0], []
+        for name in ("fft", "ifft"):
+            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+                calls[0] += 1
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        real_prepare = spectral.prepare
+
+        def prepare_counting_steps(spec, size):
+            matvec, rmatvec = real_prepare(spec, size)
+
+            def step(x):
+                starts.append(calls[0])
+                return matvec(x)
+
+            return step, rmatvec
+
+        monkeypatch.setattr(spectral, "prepare", prepare_counting_steps)
+        top_singular_value(_spec(lam, coeffs), 64)
+        # from the second step on: inside the disc the first one also takes
+        # the adjoint's coefficient FFTs
+        counts = np.diff(starts[1:] + [calls[0]])
+        assert len(counts) > 5 and set(counts.tolist()) == {per_step}
 
 
 def _scaled_dense_top(spec, n):
