@@ -155,17 +155,12 @@ def _single_size(args: argparse.Namespace) -> int:
 
 
 def _charge_grid(args: argparse.Namespace, points: int, grids: int) -> None:
-    """Refuse a quadrature that holds ``grids`` complex arrays of ``points``
-    points at once past the memory budget, naming what set ``points``:
-    ``--grid-size``, or the symbol's 2K + 1 points where they exceed it."""
-    budget, need_mb = operator.resolve_budget_mb(), grids * points * 16 / 2**20
-    if need_mb > budget:
-        source = (f"--grid-size {args.grid_size}" if points == args.grid_size
-                  else f"the symbol's largest |n| = {points // 2}")
-        raise CliInputError(
-            f"{source} needs {need_mb:.1f} MB for {grids} complex grids "
-            f"of {points} points; budget {budget:g} MB ({operator.MEM_BUDGET_ENV})"
-        )
+    """Charge a quadrature that holds ``grids`` complex arrays of ``points``
+    points at once, naming what set ``points``: ``--grid-size``, or the
+    symbol's 2K + 1 points where they exceed it."""
+    source = (f"--grid-size {args.grid_size}" if points == args.grid_size
+              else f"the symbol's largest |n| = {points // 2}")
+    operator._charge(16 * grids * points, f"{source} ({grids} complex grids of {points} points)")
 
 
 def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:

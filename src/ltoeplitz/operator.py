@@ -26,7 +26,6 @@ __all__ = [
     "powers",
     "entry",
     "resolve_budget_mb",
-    "dense_size_limit",
     "truncate",
     "apply_naive",
     "prepare",
@@ -38,12 +37,11 @@ __all__ = [
 
 MEM_BUDGET_ENV = "LT_MEM_BUDGET_MB"
 DEFAULT_MEM_BUDGET_MB = 1024.0
-_BYTES_PER_ENTRY = 16  # complex128
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
 class MemoryBudgetExceeded(ValueError):
-    """A dense truncation would not fit the configured memory budget."""
+    """An allocation would not fit the configured memory budget."""
 
 
 def _cumulate(run: np.ndarray, base: complex) -> bool:
@@ -185,12 +183,16 @@ def resolve_budget_mb() -> float:
     return budget
 
 
-def dense_size_limit() -> int:
-    """Largest N whose dense N x N complex matrix fits the memory budget."""
-    budget_mb = resolve_budget_mb()
-    if budget_mb <= 0:
-        return 0
-    return int(math.floor(math.sqrt(budget_mb * 2**20 / _BYTES_PER_ENTRY)))
+def _charge(nbytes: int, what: str) -> int:
+    """``nbytes``, unless ``what``, which holds that many bytes at once, is
+    past ``LT_MEM_BUDGET_MB``: the one check against the budget. Each caller
+    charges before it allocates."""
+    budget = resolve_budget_mb()
+    if nbytes > budget * 2**20:
+        raise MemoryBudgetExceeded(
+            f"{what} needs {nbytes / 2**20:.3g} MB; budget {budget:g} MB ({MEM_BUDGET_ENV})"
+        )
+    return nbytes
 
 
 def _checked_size(size: int) -> int:
@@ -245,14 +247,7 @@ def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
     an exact 0j (a product 0j * p would turn into -0.0 wherever Re(p) < 0).
     """
     n = _checked_size(size)
-    limit = dense_size_limit()
-    if n > limit:
-        budget = resolve_budget_mb()
-        needed = n * n * _BYTES_PER_ENTRY / 2**20
-        raise MemoryBudgetExceeded(
-            f"N={n} needs {needed:.1f} MB dense storage; "
-            f"budget {budget:g} MB allows N <= {limit}"
-        )
+    _charge(16 * n * n, f"N={n} dense truncation")
     entries = np.zeros((n, n), dtype=complex)
     flat = entries.reshape(-1)
     # band d starts at flat index d*N (d >= 0) or -d (d < 0), stride N + 1
@@ -377,7 +372,7 @@ def _circle_products(lam: complex, pows: np.ndarray, index: np.ndarray, value: n
     return matvec, rmatvec
 
 
-def prepare(spec: LambdaToeplitzSpec, size: int):
+def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     """``(matvec, rmatvec)`` against the N x N truncation and its adjoint.
 
     Only the bands |d| < N reach the truncation; let K be their largest |d|.
@@ -392,13 +387,28 @@ def prepare(spec: LambdaToeplitzSpec, size: int):
     operator for (conj lambda, phi*), where phi* = ``symbol.conjugate()``
     has coefficients conj(a_{-d}); its FFTs are taken at the first
     ``rmatvec`` call, so ``apply_fast`` does not pay for them.
+
+    ``charge``, if given, is called with the bytes the products hold at
+    once, the last product they returned included, before any array of
+    length N is allocated.
     """
     n = _checked_size(size)
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
     index = np.array([d for d, _ in bands], dtype=np.intp)
     value = np.array([a for _, a in bands], dtype=complex)
+    circle = index.size and is_unimodular(spec.lam)
+    if charge is not None:
+        # L bounds every FFT length. Near the circle: the powers of lambda and
+        # of conj(lambda), A x and D* y, 4 vectors of length N; the kernel FFT
+        # and its conjugate, the two transforms in flight and the one the last
+        # product returned is a view into, 5 of length L. Elsewhere: the two
+        # powers (length S <= N), A x, the last product, the one in flight and
+        # a working vector, 6 of length N; the four coefficient FFTs and the
+        # two transforms in flight, 6 of length L.
+        length = _next_fast_len(n + int(np.abs(index).max(initial=0)))
+        charge(16 * (4 * n + 5 * length if circle else 6 * n + 6 * length))
     pows = powers(spec.lam, n)
-    if index.size and is_unimodular(spec.lam):
+    if circle:
         return _circle_products(spec.lam, pows, index, value)
     pows = pows[: min(n, np.count_nonzero(pows) + int(np.abs(index).max(initial=0)))]
     adjoint = []
@@ -451,6 +461,7 @@ def solve_recurrence(lam: complex, forcing, first_row, first_col) -> np.ndarray:
             f"corner mismatch: first_row[0]={row[0]!r} != first_col[0]={col[0]!r}"
         )
     lam = complex(lam)
+    _charge(16 * n * n, f"N={n} recurrence solution")
     out = np.empty((n, n), dtype=complex)
     out[0, :] = row
     out[:, 0] = col

@@ -24,8 +24,8 @@ operator attached to (lambda, phi):
   forming T_N: Lanczos on T_N* T_N through the FFT products of
   ``operator.prepare``, keeping three vectors and no basis, stopped once the
   residual estimate of the top Ritz pair is at most 1e-13 times the Ritz
-  value (certified without reorthogonalization, Paige 1980). The vectors of
-  one step and the k x k Ritz problem, not an N x N matrix, are charged
+  value (certified without reorthogonalization, Paige 1980). What one step
+  holds and the k x k Ritz problem, not an N x N matrix, are charged
   against the memory budget, so these studies run past the dense limit.
   ``svd_study`` and ``finite_rank_study`` need every singular value and
   take the SVD of ``_core``: the core where it is smaller than T_N, T_N
@@ -51,13 +51,12 @@ from .operator import (
     _Record,
     _TINY,
     _bands,
+    _charge,
     _checked_size,
-    _next_fast_len,
     _unit_scaled,
     _unscaled,
     powers,
     prepare,
-    resolve_budget_mb,
     truncate,
 )
 from .symbol import _unit_exponent, is_unimodular, sawtooth
@@ -97,7 +96,7 @@ _STEPS_PER_N = 4
 # at step ceil(growth * k): tops that nearly cluster need hundreds of steps,
 # and a decomposition at every one would cost more than the steps themselves.
 _CHECK_GROWTH = 1.15
-# Bytes a Lanczos step holds besides its vectors and the symbol: about 1.5 KB
+# Bytes a Lanczos step holds besides its arrays and the symbol: about 1.5 KB
 # per FFT call and the loop's own objects.
 _STEP_OVERHEAD = 2**14
 _EPS = float(np.finfo(float).eps)
@@ -155,14 +154,22 @@ def _svdvals(matrix: np.ndarray, size: int) -> np.ndarray:
         raise SpectralDecompositionError(size, f"SVD failed at N={size}: {exc}") from exc
 
 
-def _top_ritz(alphas: list, betas: list) -> tuple[float, float]:
+def _top_ritz(alphas: list, betas: list, held: int, size: int) -> tuple[float, float]:
     """The top eigenvalue theta of the k x k Lanczos tridiagonal and |y_k|,
     the last entry of its unit eigenvector.
 
     Only the diagonal and the subdiagonal are written: ``eigh`` reads the
-    lower triangle.
+    lower triangle. It holds the tridiagonal, the copy LAPACK turns into the
+    eigenvectors, the eigenvectors it returns and the work arrays of
+    ``dsyevd``: 40 k^2 bytes, as one ``eigh`` adds to a fresh process's
+    ``ru_maxrss`` at k = 1400 and 2818, and up to 45 k^2 after earlier checks
+    whose freed arrays the allocator keeps. 48 k^2 + 160 k bytes, the O(k)
+    arrays and lists included, are charged first, beside the ``held`` bytes
+    of a Lanczos step at N = ``size``.
     """
     k = len(alphas)
+    _charge(held + 16 * k * (3 * k + 10), f"N={size}: the Ritz problem at step k={k} "
+            "with one Lanczos step")
     tri = np.zeros((k, k))
     tri.flat[:: k + 1] = alphas
     tri.flat[k :: k + 1] = betas[: k - 1]
@@ -204,37 +211,24 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
 
     Lost orthogonality repeats converged Ritz values, so a clustered top may
     need more than N steps: 4N steps (``_STEPS_PER_N``) without the
-    certificate raise ``SpectralDecompositionError``. The vectors of one step
-    are charged against ``LT_MEM_BUDGET_MB`` before any is allocated, and at
-    each check the k x k Ritz problem beside them; either past the budget
+    certificate raise ``SpectralDecompositionError``. What one step holds is
+    charged against ``LT_MEM_BUDGET_MB`` before any vector is allocated, and
+    at each check the k x k Ritz problem beside it; either past the budget
     raises ``MemoryBudgetExceeded``.
     """
     n = _checked_size(size)
-    budget = resolve_budget_mb()
     scaled, e = _unit_scaled(spec.symbol, n)
-    # One step holds, near the unit circle (``operator._circle_products``),
-    # 6 complex vectors of length N: v, v_prev, the powers of lambda and of
-    # conj(lambda), u = A v and conj(lambda^n) u while A* u is formed; and 5
-    # of length L = next_fast_len(N + K), K the largest |d| < N: the kernel
-    # FFT and its conjugate, the last w (a view into its transform) and the
-    # two transforms of the product in flight. Elsewhere it holds 8 of length
-    # N: v, v_prev, w, the two powers (length S <= N), u, the product's output
-    # and one working vector; and 6 of length L, which bounds every FFT length
-    # of ``prepare``: the four coefficient FFTs and the two transforms in
-    # flight. Each stored coefficient adds at most 256 bytes: the sorted
-    # (d, a) pair ``_unit_scaled`` reads it into and, for |d| < N, its entry
-    # in the scaled symbol and in the band arrays of ``prepare``. The FFT
-    # calls and the loop itself hold a few KB more (``_STEP_OVERHEAD``).
-    vectors, transforms = (6, 5) if is_unimodular(spec.lam) else (8, 6)
-    length = _next_fast_len(n + scaled.max_abs_index)
-    held = (16 * (vectors * n + transforms * length) + 256 * len(spec.symbol.support)
-            + _STEP_OVERHEAD)
-    if held > budget * 2**20:
-        raise MemoryBudgetExceeded(
-            f"N={n}: one Lanczos step needs {held / 2**20:.2f} MB; "
-            f"budget {budget:g} MB (LT_MEM_BUDGET_MB)"
-        )
-    matvec, rmatvec = prepare(LambdaToeplitzSpec(spec.lam, scaled), n)
+    # Besides the products of ``prepare`` and w, the last of them, a step
+    # holds v and v_prev; each stored coefficient at most 256 bytes: the
+    # sorted (d, a) pair ``_unit_scaled`` reads it into and, for |d| < N, its
+    # entry in the scaled symbol and in the band arrays of ``prepare``; and
+    # the FFT calls and the loop a few KB (``_STEP_OVERHEAD``).
+    own = 16 * 2 * n + 256 * len(spec.symbol.support) + _STEP_OVERHEAD
+    held = []
+    matvec, rmatvec = prepare(
+        LambdaToeplitzSpec(spec.lam, scaled), n,
+        charge=lambda products: held.append(_charge(own + products, f"N={n}: one Lanczos step")),
+    )
     v = (np.frombuffer(_start_bytes(16 * n), dtype=np.uint64) / 2.0**64 - 0.5).view(complex)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n, dtype=complex)
@@ -252,16 +246,7 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
         alphas.append(alpha)
         betas.append(beta)
         if k >= check or beta == 0.0 or k == cap:
-            # the tridiagonal and its eigenvectors, 16 k^2 bytes, and the
-            # eigenvalues and the lists of alphas and betas, at most 96 k
-            ritz = 16 * k * (k + 6)
-            if held + ritz > budget * 2**20:
-                raise MemoryBudgetExceeded(
-                    f"N={n}: the Ritz problem at step k={k} needs {ritz / 2**20:.2f} MB "
-                    f"besides {held / 2**20:.2f} MB of Lanczos vectors; "
-                    f"budget {budget:g} MB (LT_MEM_BUDGET_MB)"
-                )
-            theta, last = _top_ritz(alphas, betas)
+            theta, last = _top_ritz(alphas, betas, held[0], n)
             if beta * last <= KRYLOV_RTOL * theta or beta == 0.0:
                 return _unscaled(math.sqrt(max(theta, 0.0)), e)
             check = math.ceil(_CHECK_GROWTH * k)
@@ -342,7 +327,8 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
     try:
         core = truncate(spec, m + max(p, q)).entries[: m + p, : m + q]
     except MemoryBudgetExceeded as exc:
-        raise MemoryBudgetExceeded(f"N={n}, SVD core: {exc}") from exc
+        exc.args = (f"N={n}, SVD core: {exc}",)
+        raise
     core[m:, m:] = 0.0
     return core
 

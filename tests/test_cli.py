@@ -205,13 +205,45 @@ class TestExitStatusContract:
         assert capsys.readouterr() == ("", "error: SVD failed at N=8: SVD did not converge\n")
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [(("build", "--sizes", "40"), "N=40 dense truncation"),
+     (("apply", "--method", "naive", "--vector", "x40.csv"), "N=40 dense truncation"),
+     (("solve-recurrence", "--sizes", "40"), "N=40 dense truncation"),
+     (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 recurrence solution"),
+     (("svd", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation"),
+     (("rank", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation"),
+     (("norms", "--lambda-re", "1", "--sizes", "40"), "--grid-size 4096 (2 complex grids of 4096 points)"),
+     (("norms", "--lambda-re", "1", "--sizes", "40", "--grid-size", "1"), "N=40: one Lanczos step"),
+     (("sawtooth-demo", "--sizes", "8,40"), "N=8: one Lanczos step"),
+     (("hsnorm", "--wco", "--lambda-re", "0.5", "--sizes", "40"),
+      "--grid-size 1024 (3 complex grids of 1024 points)")],
+    ids=["build", "apply-naive", "solve-recurrence", "solve-recurrence-b-matrix", "svd", "rank",
+         "norms-grid", "norms-lanczos", "sawtooth-demo", "hsnorm-wco"],
+)
+def test_every_refusal_is_one_message(tmp_path, monkeypatch, capsys, args, what):
+    # every charge against the budget names what it refuses and its size
+    monkeypatch.chdir(tmp_path)
+    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, 3: -0.5j}), "sym.json")
+    Path("x40.csv").write_text("".join(Records(np.ones(40, dtype=complex)).chunks()))
+    Path("b40.csv").write_text("".join(Records(np.ones((40, 40), dtype=complex)).chunks()))
+    monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
+    symbol = () if args[0] == "sawtooth-demo" else ("--symbol", "sym.json")
+    assert run_cli(*args, *symbol, "--out", "out.json") == 2
+    out, err = capsys.readouterr()
+    match = re.fullmatch(r"error: (.+) needs (\S+) MB; budget 0\.01 MB \(LT_MEM_BUDGET_MB\)\n", err)
+    assert out == "" and match and match[1] == what and float(match[2]) > 0.0
+    assert not Path("out.json").exists()
+
+
 class TestBandwiseMemory:
     """verify and spectrum compare bands in O(N) memory, past the dense limit."""
 
     @pytest.fixture
     def budget_of_one_mb(self, monkeypatch):
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
-        assert ltoeplitz.dense_size_limit() == 256
+        with pytest.raises(ltoeplitz.MemoryBudgetExceeded, match="^N=257 dense truncation"):
+            truncate(LambdaToeplitzSpec(0.5, FourierSymbol({0: 1.0})), 257)
 
     @pytest.mark.parametrize(
         "args",
@@ -242,7 +274,8 @@ class TestBandwiseMemory:
 
     def test_build_still_names_the_budget(self, two_cos_path, budget_of_one_mb, capsys):
         assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4096") == 2
-        assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: N=4096 dense truncation needs 256 MB; budget 1 MB (LT_MEM_BUDGET_MB)\n")
 
 
 class TestPastTheUnderflowCut:
@@ -278,7 +311,8 @@ class TestSpectralPastTheDenseLimit:
         sym = tmp_path / "band.json"
         write_symbol_file(FourierSymbol(self.COEFFS), sym)
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "16")
-        assert ltoeplitz.dense_size_limit() == 1024
+        with pytest.raises(ltoeplitz.MemoryBudgetExceeded, match="^N=1025 dense truncation"):
+            truncate(LambdaToeplitzSpec(0.8, FourierSymbol(self.COEFFS)), 1025)
         common = ("--symbol", sym, "--lambda-re", "0.8", "--sizes", "4096")
         outs = {command: tmp_path / f"{command}.json" for command in ("svd", "rank", "hsnorm")}
         # a dense 4096 x 4096 complex matrix would take 256 MB
@@ -440,8 +474,8 @@ class TestBoundaryInput:
         assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         need = grids * points * 16 / 2**20
         assert capsys.readouterr().err == (
-            f"error: {source} needs {need:.1f} MB for {grids} complex grids "
-            f"of {points} points; budget 1 MB (LT_MEM_BUDGET_MB)\n"
+            f"error: {source} ({grids} complex grids of {points} points) "
+            f"needs {need:.3g} MB; budget 1 MB (LT_MEM_BUDGET_MB)\n"
         )
 
     @pytest.mark.parametrize(
@@ -1064,7 +1098,24 @@ class TestSolveRecurrence:
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
         code = run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "257")
         assert code == 2
-        assert "budget 1 MB allows N <= 256" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: N=257 dense truncation needs 1.01 MB; budget 1 MB (LT_MEM_BUDGET_MB)\n")
+
+    def test_forcing_path_is_charged_before_the_solve(self, two_cos_path, tmp_path, monkeypatch,
+                                                      capsys):
+        # without --b-matrix the truncation it is compared with is charged;
+        # with it, the N x N solution itself, before solve_recurrence allocates it
+        b_path, out = tmp_path / "b40.csv", tmp_path / "a.json"
+        b_path.write_text("".join(Records(np.ones((40, 40), dtype=complex)).chunks()))
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
+        assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
+                       "--b-matrix", b_path, "--out", out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: N=40 recurrence solution needs 0.0244 MB; budget 0.01 MB (LT_MEM_BUDGET_MB)\n")
+        monkeypatch.delenv("LT_MEM_BUDGET_MB")
+        assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
+                       "--b-matrix", b_path, "--out", out) == 0
 
     def test_forcing_shape_mismatch(self, two_cos_path, tmp_path):
         b_path = tmp_path / "b.csv"

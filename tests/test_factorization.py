@@ -80,7 +80,7 @@ class TestDiagUnitary:
 def test_builders_are_charged_against_the_budget(monkeypatch, build):
     monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
     assert build(256).size == 256
-    with pytest.raises(MemoryBudgetExceeded, match=r"N=257 .* allows N <= 256"):
+    with pytest.raises(MemoryBudgetExceeded, match=r"^N=257 dense truncation needs 1\.01 MB; budget 1 MB"):
         build(257)
 
 

@@ -73,6 +73,32 @@ def test_every_public_function_has_a_caller():
     assert uncalled == []
 
 
+def test_only_charge_reads_the_budget():
+    """``operator._charge`` is the one check against ``LT_MEM_BUDGET_MB``: no
+    other code calls ``resolve_budget_mb`` or makes a ``MemoryBudgetExceeded``
+    (a bare ``raise`` only passes one on)."""
+    budget_names = {"resolve_budget_mb", "MemoryBudgetExceeded"}
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    inside, outside = [], []
+    for path in sorted(Path(ltoeplitz.__file__).parent.glob("*.py")):
+        tree = _tree(path)
+        charge = {
+            id(n) for f in ast.walk(tree)
+            if path.name == "operator.py" and isinstance(f, ast.FunctionDef) and f.name == "_charge"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            used = (node.func if isinstance(node, ast.Call)
+                    else node.exc if isinstance(node, ast.Raise) else None)
+            if used is not None and name(used) in budget_names:
+                (inside if id(node) in charge else outside).append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert len(inside) == 2  # the budget read and the exception it raises
+
+
 RECORDS = [
     (operator.LambdaToeplitzSpec, (0.5 + 0j, symbol.FourierSymbol({0: 1.0})), True),
     (factorization.WeightedCompositionSpec, (symbol.FourierSymbol({1: 2.0}), 0.5 + 0j), True),
