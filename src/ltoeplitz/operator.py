@@ -297,96 +297,58 @@ def _checked_vector(x, n: int) -> np.ndarray:
     return vec
 
 
-def _prepared_matvec(pows: np.ndarray, index: np.ndarray, value: np.ndarray, n: int):
-    """Matvec against the N x N truncation with bands a_index = value, |index| < N,
-    and lambda powers ``pows``, whose rows and columns from side = pows.size
-    on are zero.
+def _kernel_hat(index: np.ndarray, value: np.ndarray, length: int) -> np.ndarray:
+    """FFT of the cyclic layout of the bands a_index = value: a_d in slot
+    d mod ``length``, the one layout of every product."""
+    kernel = np.zeros(length, dtype=complex)
+    kernel[index] = value  # a negative d lands in slot L + d
+    return np.fft.fft(kernel)
 
-    Only the leading side x side block, the truncation at that size, is
-    applied; the rest of the output is 0. The lower-triangular part convolves
-    the analytic coefficients with the lambda-scaled input; the strict upper
-    part correlates the coanalytic ones with the input and lambda-scales the
-    output. The FFTs of both coefficient halves are taken here, once.
-    """
-    side = pows.size
-    plus, minus = index >= 0, index < 0
-    plus_hat = minus_hat = None
-    if plus.any():
-        degree = int(index[plus].max())
-        weights = np.zeros(degree + 1, dtype=complex)
-        weights[index[plus]] = value[plus]
-        plus_len = _next_fast_len(degree + side)
-        plus_hat = np.fft.fft(weights, plus_len)
-    if minus.any():
-        depth = -int(index[minus].min())
-        # reversed coanalytic coefficients: slot depth + d holds a_d (d < 0)
-        reflected = np.zeros(depth, dtype=complex)
-        reflected[depth + index[minus]] = value[minus]
-        minus_len = _next_fast_len(depth + side - 1)
-        minus_hat = np.fft.fft(reflected, minus_len)
 
-    def matvec(x) -> np.ndarray:
+def _product(terms: list, scale: np.ndarray, length: int, n: int):
+    """x -> the sum over ``terms`` (hat, scaled_input) of a * (scale x) if
+    scaled_input, else of scale (a * x), a * the cyclic convolution of length
+    L with the kernel whose FFT is hat, on the leading block of side
+    scale.size; 0 past it."""
+    side = scale.size
+
+    def term(vec, hat, scaled_input):
+        if scaled_input:
+            return _convolve(hat, scale * vec, length)[:side]
+        return scale * _convolve(hat, vec, length)[:side]
+
+    # where S = N the first term is the output: no zeros to add it to
+    first, rest = (terms[0], terms[1:]) if side == n and terms else (None, terms)
+
+    def product(x) -> np.ndarray:
         vec = _checked_vector(x, n)[:side]
-        out = np.zeros(n, dtype=complex)
-        block = out[:side]
-        if plus_hat is not None:
-            block += _convolve(plus_hat, pows * vec, plus_len)[:side]
-        if minus_hat is not None:
-            shifted = np.zeros(side, dtype=complex)
-            shifted[: side - 1] = _convolve(minus_hat, vec, minus_len)[depth : depth + side - 1]
-            block += pows * shifted
+        out = np.zeros(n, dtype=complex) if first is None else term(vec, *first)
+        for each in rest:
+            out[:side] += term(vec, *each)
         return out
 
-    return matvec
-
-
-def _circle_products(lam: complex, pows: np.ndarray, index: np.ndarray, value: np.ndarray):
-    """``(matvec, rmatvec)`` for lambda near the unit circle, from
-    T_N = D Toeplitz_N(psi) with D = diag(``pows``), psi_d = lambda^-d a_d
-    for d >= 0 and psi_d = a_d for d < 0 (bands a_index = value, |index| < N).
-
-    lambda^min(n, m) = lambda^n lambda^-(n - m) wherever n >= m, so the
-    factorization holds for every nonzero lambda; D is applied, not assumed
-    unitary. psi is laid out cyclically, psi_d in slot d mod L, and a
-    cyclic convolution of length L >= N + K, K the largest |d|, gives
-    every sum_m psi_{n-m} x_m with n, m < N without wrapping. Toeplitz_N(psi)*
-    is Toeplitz_N of conj(psi_{-d}), whose cyclic layout has the FFT
-    conj(psi_hat). So each product is one convolution: two FFTs.
-    """
-    n = pows.size
-    degree = int(index.max(initial=0))
-    length = _next_fast_len(n + max(degree, -int(index.min())))
-    kernel = np.zeros(length, dtype=complex)
-    plus = index >= 0
-    kernel[index[plus]] = value[plus] * powers(1 / lam, degree + 1)[index[plus]]
-    kernel[index[~plus]] = value[~plus]  # a negative d lands in slot L + d
-    hat = np.fft.fft(kernel)
-    hat_adjoint, pows_adjoint = hat.conj(), pows.conj()
-
-    def matvec(x) -> np.ndarray:
-        return pows * _convolve(hat, _checked_vector(x, n), length)[:n]
-
-    def rmatvec(y) -> np.ndarray:
-        return _convolve(hat_adjoint, pows_adjoint * _checked_vector(y, n), length)[:n]
-
-    return matvec, rmatvec
+    return product
 
 
 def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     """``(matvec, rmatvec)`` against the N x N truncation and its adjoint.
 
     Only the bands |d| < N reach the truncation; let K be their largest |d|.
-    Within ``UNIT_CIRCLE_TOL`` of the unit circle, T_N = diag(lambda^n)
-    Toeplitz_N(psi) (``_circle_products``), so each product is one
-    convolution of length about N + K: two FFTs. Otherwise, with U nonzero
-    ``powers`` of lambda, every entry with min(n, m) >= U is an exact 0, so
-    rows and columns from S = min(N, U + K) on are zero and only the
-    leading S x S block is applied. The lambda powers and the FFTs of both
-    coefficient halves are taken once, so each product costs four FFTs of
-    length about S + K. The adjoint of the operator for (lambda, phi) is the
-    operator for (conj lambda, phi*), where phi* = ``symbol.conjugate()``
-    has coefficients conj(a_{-d}); its FFTs are taken at the first
-    ``rmatvec`` call, so ``apply_fast`` does not pay for them.
+    With U nonzero ``powers`` of lambda, every entry with min(n, m) >= U is
+    an exact 0, so only the leading S x S block, S = min(N, U + K), is
+    applied: a sum of terms after (a * (before x)), with D = diag(lambda^n),
+    n < S, and a * the cyclic convolution of length L >= S + K (no sum over
+    the block wraps) with a kernel laid out by ``_kernel_hat``. Within
+    ``UNIT_CIRCLE_TOL`` of the unit circle there is one term, (psi, -, D):
+    T_N = D Toeplitz_N(psi) with psi_d = lambda^-d a_d for d >= 0 and
+    psi_d = a_d for d < 0, since lambda^min(n, m) = lambda^n lambda^-(n - m)
+    wherever n >= m (D is applied, not assumed unitary). Elsewhere the lower
+    triangle is (a_+, D, -), the analytic coefficients convolved with the
+    lambda-scaled input, and the strict upper one (a_-, -, D). The adjoint
+    of a term is (conj(a_-d), after*, before*), and conj(a_-d) laid out
+    cyclically has the FFT conj(hat): ``rmatvec`` takes the same terms with
+    the conjugate FFTs and scalings swapped. The kernel FFTs are taken here,
+    once, so a product costs two FFTs of length L per term.
 
     ``charge``, if given, is called with the bytes the products hold at
     once, the last product they returned included, before any array of
@@ -396,30 +358,28 @@ def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
     index = np.array([d for d, _ in bands], dtype=np.intp)
     value = np.array([a for _, a in bands], dtype=complex)
-    circle = index.size and is_unimodular(spec.lam)
+    k = int(np.abs(index).max(initial=0))
+    plus = index >= 0
+    if is_unimodular(spec.lam):
+        value[plus] *= powers(1 / spec.lam, k + 1)[index[plus]]
+        groups = [(index, value, False)]
+    else:
+        groups = [(index[plus], value[plus], True), (index[~plus], value[~plus], False)]
+    groups = [group for group in groups if group[0].size]
     if charge is not None:
-        # L bounds every FFT length. Near the circle: the powers of lambda and
-        # of conj(lambda), A x and D* y, 4 vectors of length N; the kernel FFT
-        # and its conjugate, the two transforms in flight and the one the last
-        # product returned is a view into, 5 of length L. Elsewhere: the two
-        # powers (length S <= N), A x, the last product, the one in flight and
-        # a working vector, 6 of length N; the four coefficient FFTs and the
-        # two transforms in flight, 6 of length L.
-        length = _next_fast_len(n + int(np.abs(index).max(initial=0)))
-        charge(16 * (4 * n + 5 * length if circle else 6 * n + 6 * length))
+        # t terms, L <= next_fast_len(N + K), S <= N: each kernel FFT and its
+        # conjugate, two transforms in flight, 2t + 2 of length L; D, conj(D),
+        # the last product returned, A x, a scaled input and for t = 2 the
+        # sum being formed, 4 + t of length N, one a view into one of L.
+        t = len(groups)
+        charge(16 * ((3 + t) * n + (3 + 2 * t) * _next_fast_len(n + k)))
     pows = powers(spec.lam, n)
-    if circle:
-        return _circle_products(spec.lam, pows, index, value)
-    pows = pows[: min(n, np.count_nonzero(pows) + int(np.abs(index).max(initial=0)))]
-    adjoint = []
-
-    def rmatvec(y) -> np.ndarray:
-        if not adjoint:
-            # conj(lambda)^k is conj(lambda^k) bit for bit
-            adjoint.append(_prepared_matvec(pows.conj(), -index, value.conj(), n))
-        return adjoint[0](y)
-
-    return _prepared_matvec(pows, index, value, n), rmatvec
+    side = n if pows[-1] else min(n, np.count_nonzero(pows) + k)  # zeros are a suffix
+    length = _next_fast_len(side + k)
+    terms = [(_kernel_hat(d, a, length), scaled_input) for d, a, scaled_input in groups]
+    pows = pows[:side]
+    conjugate_terms = [(hat.conj(), not scaled_input) for hat, scaled_input in terms]
+    return _product(terms, pows, length, n), _product(conjugate_terms, pows.conj(), length, n)
 
 
 def apply_fast(spec: LambdaToeplitzSpec, x) -> np.ndarray:

@@ -22,7 +22,10 @@ operator attached to (lambda, phi):
 
   These norms need sigma_1 only. ``top_singular_value`` finds it without
   forming T_N: Lanczos on T_N* T_N through the FFT products of
-  ``operator.prepare``, keeping three vectors and no basis, stopped once the
+  ``operator.prepare``: T_N x and T_N* y are each one cyclic convolution
+  on the circle or for a one-sided symbol, two for a two-sided one inside
+  the disc, the adjoint with the conjugate kernel FFTs, so a step takes 4
+  or 8 FFTs. It keeps three vectors and no basis, and stops once the
   residual estimate of the top Ritz pair is at most 1e-13 times the Ritz
   value (certified without reorthogonalization, Paige 1980). What one step
   holds and the k x k Ritz problem, not an N x N matrix, are charged

@@ -1117,6 +1117,32 @@ class TestSolveRecurrence:
         assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
                        "--b-matrix", b_path, "--out", out) == 0
 
+    def test_truncation_and_solution_are_charged_together(self, two_cos_path, tmp_path,
+                                                          monkeypatch, capsys):
+        # without --b-matrix the stage holds two N x N matrices: a budget
+        # that fits one of them (0.0244 MB at N = 40) but not both is refused
+        out = tmp_path / "a.json"
+        args = ("solve-recurrence", "--symbol", two_cos_path, "--lambda-re", "0.4",
+                "--sizes", "40", "--out", out)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.04")
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: N=40 recurrence solution beside the dense truncation needs 0.0488 MB; "
+            "budget 0.04 MB (LT_MEM_BUDGET_MB)\n")
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.05")
+        assert run_cli(*args) == 0
+        assert json.loads(out.read_text())["max_diff_vs_truncate"] < 1e-13
+
+    def test_comparison_holds_no_third_matrix(self, two_cos_path, tmp_path):
+        # the zero forcing is one broadcast element and the difference is
+        # taken row by row: the traced peak stays below three N x N matrices
+        n = 256
+        code, peak_mb = peak_traced_mb(
+            run_cli, "solve-recurrence", "--symbol", two_cos_path, "--lambda-re", "0.4",
+            "--sizes", n, "--format", "csv", "--out", tmp_path / "a.csv")
+        assert code == 0 and peak_mb < 3 * 16 * n * n / 2**20
+
     def test_forcing_shape_mismatch(self, two_cos_path, tmp_path):
         b_path = tmp_path / "b.csv"
         b_path.write_text("".join(Records(np.zeros((4, 4), dtype=complex)).chunks()))

@@ -99,6 +99,21 @@ def test_only_charge_reads_the_budget():
     assert len(inside) == 2  # the budget read and the exception it raises
 
 
+def test_fft_layout_is_decided_in_one_place():
+    """In ``operator.py`` only ``_kernel_hat``, which lays a kernel out
+    cyclically, and ``_convolve``, which applies one, reach ``np.fft``."""
+
+    def np_fft(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    tree = _tree(Path(operator.__file__))
+    callers = sorted(f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                     for n in ast.walk(f) if np_fft(n))
+    assert callers == ["_convolve", "_convolve", "_kernel_hat"]
+    assert sum(map(np_fft, ast.walk(tree))) == 3  # nothing at module level
+
+
 RECORDS = [
     (operator.LambdaToeplitzSpec, (0.5 + 0j, symbol.FourierSymbol({0: 1.0})), True),
     (factorization.WeightedCompositionSpec, (symbol.FourierSymbol({1: 2.0}), 0.5 + 0j), True),

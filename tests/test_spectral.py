@@ -452,18 +452,21 @@ class TestTopSingularValue:
         assert peak_mb <= 16.0
 
     def test_traced_peak_stays_within_the_charge(self, monkeypatch):
-        # the ramp with K = N - 1 at lambda = -1: the symbol's O(K) copies sit
-        # beside the vectors of one step
-        spec = LambdaToeplitzSpec(-1.0, sawtooth(1023))
-        top = top_singular_value(spec, 1024)
-        _, peak_mb = peak_traced_mb(top_singular_value, spec, 1024)
-        # the charge is at least the peak: a budget just below it is refused
-        monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(peak_mb * (1 - 1e-9)))
-        with pytest.raises(MemoryBudgetExceeded, match="one Lanczos step needs"):
-            top_singular_value(spec, 1024)
-        # and at most twice the peak
-        monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(2 * peak_mb))
-        assert top_singular_value(spec, 1024) == top
+        # the ramp with K = N - 1: the symbol's O(K) copies sit beside the
+        # vectors of one step, on the circle (one term) and inside the disc
+        # (two terms, the analytic and the coanalytic half)
+        for lam in (-1.0, 0.9):
+            spec = LambdaToeplitzSpec(lam, sawtooth(1023))
+            monkeypatch.delenv("LT_MEM_BUDGET_MB", raising=False)
+            top = top_singular_value(spec, 1024)
+            _, peak_mb = peak_traced_mb(top_singular_value, spec, 1024)
+            # the charge is at least the peak: a budget just below it is refused
+            monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(peak_mb * (1 - 1e-9)))
+            with pytest.raises(MemoryBudgetExceeded, match="one Lanczos step needs"):
+                top_singular_value(spec, 1024)
+            # and at most twice the peak
+            monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(2 * peak_mb))
+            assert top_singular_value(spec, 1024) == top
 
     @pytest.mark.parametrize("lam", CIRCLE_LAMBDAS)
     @pytest.mark.parametrize("case", CIRCLE_CASES)
@@ -477,10 +480,10 @@ class TestTopSingularValue:
         (1j, {0: 1.0, 2: 0.5j}, 4),
         (-1.0, {-3: 1.0, -1: 0.5j}, 4),
         (cmath.exp(0.7j), {-2: 1.0, 0: 0.3, 1: 0.5j}, 4),
-        # inside the disc: two FFTs for each coefficient half of a product;
-        # the adjoint of an analytic symbol has a coanalytic half as well
+        # inside the disc: two FFTs for each coefficient half of a product
         (0.8, {-2: 1.0, 0: 0.3, 1: 0.5j}, 8),
-        (0.5j, {0: 0.3, 1: 0.5j}, 6),
+        (0.5j, {0: 0.3, 1: 0.5j}, 4),
+        (0.7, {-3: 1.0, -1: 0.5j}, 4),
     ])
     def test_fft_calls_per_lanczos_step(self, monkeypatch, lam, coeffs, per_step):
         calls, starts = [0], []
@@ -503,9 +506,8 @@ class TestTopSingularValue:
 
         monkeypatch.setattr(spectral, "prepare", prepare_counting_steps)
         top_singular_value(_spec(lam, coeffs), 64)
-        # from the second step on: inside the disc the first one also takes
-        # the adjoint's coefficient FFTs
-        counts = np.diff(starts[1:] + [calls[0]])
+        # from the first step on: every kernel FFT is taken in ``prepare``
+        counts = np.diff(starts + [calls[0]])
         assert len(counts) > 5 and set(counts.tolist()) == {per_step}
 
 
