@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import factorization, operator, spectral
+from . import operator
 from . import symbol as symbol_mod
 from .output import (
     Records,
@@ -34,6 +35,29 @@ from .output import (
     read_vector_csv,
     write_text,
 )
+
+
+def _on_first_use(name: str):
+    """The package module ``name``, in ``sys.modules`` and bound on the
+    package from here on, as an import would leave it, but executed only
+    when one of its attributes is first read (``importlib.util.LazyLoader``).
+    A module imported already is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Executed by the first handler that reads them: build, apply and
+# solve-recurrence read neither, verify reads no spectral.
+factorization = _on_first_use("factorization")
+spectral = _on_first_use("spectral")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -78,7 +102,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", dest="output_path", help="output file (stdout when omitted)")
     output.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     rank_tol = argparse.ArgumentParser(add_help=False)
-    rank_tol.add_argument("--rank-tol", dest="rank_tol", type=float, default=spectral.DEFAULT_RANK_TOL)
+    # absent unless given: the handlers fall back to spectral.DEFAULT_RANK_TOL,
+    # so parsing reads nothing of spectral
+    rank_tol.add_argument("--rank-tol", dest="rank_tol", type=float, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="ltoep", description="lambda-Toeplitz truncation toolkit"
@@ -214,7 +240,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_svd(args: argparse.Namespace) -> int:
-    reports = spectral.svd_study(_make_spec(args), args.sizes, args.rank_tol)
+    reports = spectral.svd_study(_make_spec(args), args.sizes,
+                                 getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
     # the trace-norm majorant holds for |lambda| < 1 only
     bounds = [spectral.trace_norm_bound_check(r, args.lam) if abs(args.lam) < 1.0 else None
               for r in reports]
@@ -284,7 +311,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    study = spectral.finite_rank_study(_make_spec(args), args.sizes, args.rank_tol)
+    study = spectral.finite_rank_study(_make_spec(args), args.sizes,
+                                       getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
     _write(args, lambda: [{"N": n, "numerical_rank": r} for n, r in study],
            lambda: csv_text("N,rank", study), f"ranks {[r for _, r in study]}")
     return EXIT_OK
@@ -388,6 +416,7 @@ def run(args: argparse.Namespace) -> int:
         # overflow warnings on the way there would only be noise on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             return _HANDLERS[args.command](args)
+    # the tuple is built only once an exception arrives: spectral stays unloaded otherwise
     except (CliInputError, ValueError, OSError, spectral.SpectralDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

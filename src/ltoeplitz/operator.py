@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, _unit_exponent, is_unimodular
+from .symbol import UNIT_CIRCLE_TOL, FourierSymbol, _unit_scaled_values, is_unimodular
 
 __all__ = [
     "MEM_BUDGET_ENV",
@@ -220,12 +220,16 @@ def _bands(symbol: FourierSymbol, size: int, base: complex):
 
 def _unit_scaled(symbol: FourierSymbol, size: int | None = None) -> tuple[FourierSymbol, int]:
     """``(2^e * symbol, e)``, e the ``_unit_exponent`` of the largest |Re a_d|,
-    |Im a_d|; with a size N, only the bands |d| < N."""
-    n = math.inf if size is None else int(size)
-    kept = [(d, a) for d, a in symbol.items() if -n < d < n]
-    e = _unit_exponent(max((max(abs(a.real), abs(a.imag)) for _, a in kept), default=0.0))
-    return FourierSymbol({d: complex(math.ldexp(a.real, e), math.ldexp(a.imag, e))
-                          for d, a in kept}), e
+    |Im a_d|; with a size N, only the bands |d| < N, looked up one index at a
+    time where those 2N - 1 indices are fewer than the stored ones. The
+    scaled values come from a checked symbol, so they are stored unchecked."""
+    kept = symbol._coeffs
+    if size is not None:
+        n = int(size)
+        kept = ({d: kept[d] for d in range(1 - n, n) if d in kept} if 2 * n - 1 < len(kept)
+                else {d: a for d, a in kept.items() if -n < d < n})
+    scaled, e = _unit_scaled_values(kept.values(), len(kept))
+    return FourierSymbol._of_checked(dict(zip(kept, scaled.tolist()))), e
 
 
 def _unscaled(x: float, e: int) -> float:

@@ -45,6 +45,15 @@ def _unit_exponent(top: float) -> int:
     return -math.frexp(top)[1] if 0 < top < math.inf else 0
 
 
+def _unit_scaled_values(values, count: int) -> tuple[np.ndarray, int]:
+    """``(2^e * values, e)``, the values as one complex array and e the
+    ``_unit_exponent`` of their largest |Re|, |Im|; exact for every normal
+    result, and every result finite."""
+    parts = np.fromiter(values, dtype=complex, count=count).view(float)
+    e = _unit_exponent(float(np.max(np.abs(parts), initial=0.0)))
+    return np.ldexp(parts, e).view(complex), e
+
+
 class FourierSymbol:
     """Finitely supported coefficient sequence ``{n: a_n}``.
 
@@ -69,6 +78,15 @@ class FourierSymbol:
             if value != 0:
                 coeffs[n] = value
         self._coeffs = coeffs
+
+    @classmethod
+    def _of_checked(cls, coeffs: dict[int, complex]) -> "FourierSymbol":
+        """The symbol of ``{n: a_n}`` whose indices are ints and values finite
+        complex numbers, as read and checked by ``from_json_dict`` or derived
+        from a symbol; zeros are dropped, nothing else is checked again."""
+        symbol = cls()
+        symbol._coeffs = {n: v for n, v in coeffs.items() if v}
+        return symbol
 
     # -- accessors ---------------------------------------------------------
 
@@ -152,9 +170,8 @@ class FourierSymbol:
         folded = np.zeros(m, dtype=complex)
         count = len(self._coeffs)
         slots = np.fromiter((n % m for n in self._coeffs), dtype=np.intp, count=count)
-        parts = np.fromiter(self._coeffs.values(), dtype=complex, count=count).view(float)
-        e = _unit_exponent(float(np.max(np.abs(parts), initial=0.0)))
-        np.add.at(folded, slots, np.ldexp(parts, e).view(complex))
+        scaled, e = _unit_scaled_values(self._coeffs.values(), count)
+        np.add.at(folded, slots, scaled)
         values = (np.fft.ifft(folded) * m).view(float)
         with np.errstate(over="ignore"):
             return np.ldexp(values, -e, out=values).view(complex)
@@ -183,9 +200,9 @@ class FourierSymbol:
         ``n`` must be a JSON integer and ``re`` and ``im``, each 0 when
         absent, JSON numbers; a bool or a string is neither, and an entry
         has no other field. One walk over the entries checks each, that it
-        is finite and that its index is new, and stores it; zero values are
-        dropped afterwards, as ``__init__`` drops them. A fault names its
-        field and its entry.
+        is finite and that its index is new, and stores it; ``_of_checked``
+        drops zero values afterwards, as ``__init__`` drops them. A fault
+        names its field and its entry.
         """
         entries = data.get("coefficients") if isinstance(data, Mapping) else None
         if type(entries) is not list:
@@ -210,9 +227,7 @@ class FourierSymbol:
             if n in coeffs:
                 raise ValueError(f"duplicate coefficient index {n}")
             coeffs[n] = complex(re, im)
-        symbol = cls()
-        symbol._coeffs = {n: v for n, v in coeffs.items() if v}
-        return symbol
+        return cls._of_checked(coeffs)
 
 
 def _part_fault(n: int, re, im) -> str:

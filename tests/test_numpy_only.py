@@ -1,5 +1,6 @@
 """The package runs on numpy alone; scipy is used here only as an oracle."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +35,99 @@ def test_cli_import_adds_no_dataclasses():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_binds_all_six_modules():
+    # a tracer that wraps every public function takes each module from
+    # sys.modules right after this import, loaded yet or not, and reads its
+    # __all__ (or its public names)
+    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+    code = (
+        "import json, sys, ltoeplitz.cli\n"
+        "names = ('symbol', 'operator', 'factorization', 'spectral', 'output', 'cli')\n"
+        "mods = {m: sys.modules.get(f'ltoeplitz.{m}') for m in names}\n"
+        "print(json.dumps([[m for m in names if mods[m] is None], [\n"
+        "    f'{m}.{a}' for m, mod in mods.items() if mod is not None\n"
+        "    for a in getattr(mod, '__all__', [a for a in vars(mod) if a[0] != '_'])\n"
+        "    if not hasattr(mod, a)]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == [[], []]
+
+
+def test_package_name_imports_only_the_modules_up_to_its_own():
+    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
+    code = (
+        "import json, sys, ltoeplitz\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('ltoeplitz.'))\n"
+        "before = loaded()\n"
+        "ltoeplitz.truncate\n"
+        "print(json.dumps([before, loaded()]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    # symbol imports output, its writer
+    assert json.loads(result.stdout) == [
+        [], ["ltoeplitz.operator", "ltoeplitz.output", "ltoeplitz.symbol"]
+    ]
+
+
+def _executed_by(runs) -> tuple[list, list]:
+    """Exit codes of the argv lists, run through ``cli.main`` in one new
+    process, and the package modules whose bodies that process executed (the
+    ``exec`` audit event of each module's code, with or without bytecode)."""
+    package = Path(ltoeplitz.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    code = (
+        "import json, sys\n"
+        "ran = set()\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and "
+        "ran.add(getattr(args[0], 'co_filename', '')))\n"
+        "from ltoeplitz.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(ran)]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    codes, ran = json.loads(result.stdout.splitlines()[-1])
+    return codes, sorted(Path(f).stem for f in ran if Path(f).parent == package)
+
+
+@pytest.fixture
+def io_inputs(tmp_path):
+    symbol_path = tmp_path / "symbol.json"
+    write_symbol_file(FourierSymbol({0: 1.0, 1: 0.7, -2: 0.4j}), symbol_path)
+    vector_path = tmp_path / "x.csv"
+    vector_path.write_text("k,re,im\n" + "".join(f"{k},{k},-1\n" for k in range(16)))
+    return ["--symbol", str(symbol_path), "--lambda-re", "0.5"], vector_path
+
+
+def test_dense_io_commands_execute_neither_spectral_nor_factorization(io_inputs, tmp_path):
+    common, vector_path = io_inputs
+    forcing = tmp_path / "b.csv"
+    runs = [
+        ["build", *common, "--sizes", "16", "--out", str(tmp_path / "t.json")],
+        ["build", *common, "--sizes", "16", "--format", "csv", "--out", str(forcing)],
+        ["apply", *common, "--vector", str(vector_path), "--out", str(tmp_path / "y.json")],
+        ["solve-recurrence", *common, "--sizes", "16", "--out", str(tmp_path / "s.json")],
+        ["solve-recurrence", *common, "--sizes", "16", "--b-matrix", str(forcing),
+         "--format", "csv", "--out", str(tmp_path / "s.csv")],
+    ]
+    assert _executed_by(runs) == ([0] * 5, ["__init__", "cli", "operator", "output", "symbol"])
+
+
+def test_svd_executes_both_modules_and_verify_factorization(io_inputs, tmp_path):
+    common, _ = io_inputs
+    svd = ["svd", *common, "--sizes", "8", "--out", str(tmp_path / "svd.json")]
+    verify = ["verify", *common, "--sizes", "8", "--identity", "wco-sum",
+              "--out", str(tmp_path / "verify.json")]
+    loaded = ["__init__", "cli", "operator", "output", "symbol"]
+    assert _executed_by([svd]) == ([0], sorted([*loaded, "factorization", "spectral"]))
+    assert _executed_by([verify]) == ([0], sorted([*loaded, "factorization"]))
 
 
 def _run_in_fresh_process(runs) -> str:
