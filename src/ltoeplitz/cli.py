@@ -6,11 +6,11 @@ needs one, and writes deterministic CSV or JSON (sorted keys, 17 significant
 digits) either to --out or to stdout. Each subcommand takes only the flags
 it reads, spelled out in full; any other flag is a usage error.
 
-Exit status: 0 success, 1 a verification residual exceeded its tolerance or
-a bound failed (the result is still written), 2 input error (bad JSON, a
-symbol field of the wrong type, |lambda| > 1, malformed sizes, missing files,
-a flag the command does not take) or a decomposition that did not finish (a
-LAPACK SVD failure, or Lanczos without its certificate), named with its N.
+Exit status: 0 success, 1 a result the handler gates failed (``run`` alone
+decides it; the output is still written), 2 input error (bad JSON, a symbol
+field of the wrong type, |lambda| > 1, malformed sizes, missing files, a flag
+the command does not take) or a decomposition that did not finish (a LAPACK
+SVD failure, or Lanczos without its certificate), named with its N.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> list:
     size = _single_size(args)
     op = operator.truncate(_make_spec(args), size)
     _write(
@@ -221,10 +221,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         lambda: Records(op.entries).chunks(),
         f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}",
     )
-    return EXIT_OK
+    return []
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> list:
     try:
         vec = read_vector_csv(args.vector_path)
     except (ValueError, OSError) as exc:
@@ -236,10 +236,10 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         result = operator.apply_fast(spec, vec)
     _write(args, lambda: {"N": int(vec.size), "method": args.method, "values": Records(result)},
            lambda: Records(result).chunks(), f"applied ({args.method}) at N={vec.size}")
-    return EXIT_OK
+    return []
 
 
-def _cmd_svd(args: argparse.Namespace) -> int:
+def _cmd_svd(args: argparse.Namespace) -> list:
     reports = spectral.svd_study(_make_spec(args), args.sizes,
                                  getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
     # the trace-norm majorant holds for |lambda| < 1 only
@@ -254,10 +254,10 @@ def _cmd_svd(args: argparse.Namespace) -> int:
         lambda: {r.size: csv_text("k,sigma_k", r.singular_value_rows()) for r in reports},
         f"{done} N in {list(args.sizes)}" + (", trace-norm bound FAIL" if failed else ""),
     )
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    return [b for b in bounds if b is not None]
 
 
-def _cmd_hsnorm(args: argparse.Namespace) -> int:
+def _cmd_hsnorm(args: argparse.Namespace) -> list:
     spec = _make_spec(args)
     closed = spectral.hs_norm_closed_form(spec)  # refuses |lambda| = 1 before a grid is sized
     if args.wco:
@@ -278,11 +278,10 @@ def _cmd_hsnorm(args: argparse.Namespace) -> int:
     rows.extend(("frobenius", t["N"], t["frobenius"]) for t in truncations)
     _write(args, lambda: payload, lambda: csv_text("quantity,N,value", rows),
            f"closed form {fmt_float(closed)}")
-    return EXIT_OK
+    return []
 
 
-def _emit_verifications(args: argparse.Namespace, results, gate) -> int:
-    failures = [r for r in results if gate(r) and not r.passed]
+def _emit_verifications(args: argparse.Namespace, results, gated) -> list:
     _write(
         args,
         lambda: [r.to_json_dict() for r in results],
@@ -290,12 +289,12 @@ def _emit_verifications(args: argparse.Namespace, results, gate) -> int:
             "identity,N,residual,tolerance,pass,variant",
             [(r.identity, r.size, r.residual, r.tolerance, r.passed, r.variant or "") for r in results],
         ),
-        f"{len(results)} check(s): {'FAIL' if failures else 'pass'}",
+        f"{len(results)} check(s): {'pass' if all(r.passed for r in gated) else 'FAIL'}",
     )
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    return gated
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> list:
     spec = _make_spec(args)
     results = []
     for n in args.sizes:
@@ -307,27 +306,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             results.extend(factorization.verify_toeplitz_comp_factorization(spec, n))
     # The as-stated toeplitz-comp residual is a diagnostic report, not a gate.
     gate = lambda r: not (r.identity == "toeplitz-comp" and r.variant == "as-stated")
-    return _emit_verifications(args, results, gate)
+    return _emit_verifications(args, results, list(filter(gate, results)))
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> list:
     study = spectral.finite_rank_study(_make_spec(args), args.sizes,
                                        getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
     _write(args, lambda: [{"N": n, "numerical_rank": r} for n, r in study],
            lambda: csv_text("N,rank", study), f"ranks {[r for _, r in study]}")
-    return EXIT_OK
+    return []
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> list:
     try:
         w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
     except ValueError as exc:
         raise CliInputError(f"{args.symbol_path}: {exc}") from exc
     results = [spectral.wco_spectrum_check(w, n) for n in args.sizes]
-    return _emit_verifications(args, results, gate=lambda r: True)
+    return _emit_verifications(args, results, results)
 
 
-def _cmd_norms(args: argparse.Namespace) -> int:
+def _cmd_norms(args: argparse.Namespace) -> list:
     spec = _make_spec(args)
     spectral.norm_convergence_study(spec, ())  # refuses |lambda| != 1 before the twist and grid
     twisted = spec.symbol.twist_plus(spec.lam)
@@ -342,10 +341,10 @@ def _cmd_norms(args: argparse.Namespace) -> int:
         lambda: csv_text("N,operator_norm", study),
         f"sup-norm estimate {fmt_float(target)}",
     )
-    return EXIT_OK
+    return []
 
 
-def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
+def _cmd_solve_recurrence(args: argparse.Namespace) -> list:
     size = _single_size(args)
     spec = _make_spec(args)
     if args.b_matrix_path:
@@ -375,10 +374,10 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> int:
         payload["max_diff_vs_truncate"] = diff
     _write(args, lambda: {**payload, "entries": Records(solved)},
            lambda: Records(solved).chunks(), summary)
-    return EXIT_OK
+    return []
 
 
-def _cmd_sawtooth_demo(args: argparse.Namespace) -> int:
+def _cmd_sawtooth_demo(args: argparse.Namespace) -> list:
     study = spectral.sawtooth_growth_study(args.sizes)
     growth = study[-1][1] / study[0][1] if len(study) > 1 else None
     ok = growth is None or growth >= SAWTOOTH_GROWTH_FACTOR
@@ -392,7 +391,8 @@ def _cmd_sawtooth_demo(args: argparse.Namespace) -> int:
         lambda: csv_text("N,operator_norm", study),
         f"growth factor {growth_txt} ({'pass' if ok else 'FAIL'})",
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return [] if growth is None else [operator.VerificationResult(
+        "sawtooth-growth", study[-1][0], SAWTOOTH_GROWTH_FACTOR - growth, 0.0, ok)]
 
 
 _HANDLERS = {
@@ -410,16 +410,18 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace) -> int:
+    """Exit 2 on an input error, else 1 if a result the handler gates failed."""
     try:
         _validate(args)
         # The writers refuse every non-finite value with exit 2, so numpy's
         # overflow warnings on the way there would only be noise on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](args)
+            gated = _HANDLERS[args.command](args)
     # the tuple is built only once an exception arrives: spectral stays unloaded otherwise
     except (CliInputError, ValueError, OSError, spectral.SpectralDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_OK if all(r.passed for r in gated) else EXIT_VERIFY_FAILED
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 from .operator import (
     LambdaToeplitzSpec,
     TruncatedOperator,
+    VerificationResult,
     _Record,
     _bands,
     _checked_size,
@@ -32,7 +33,6 @@ __all__ = [
     "DEFAULT_WCO_SUM_TOL",
     "DEFAULT_TOEPLITZ_COMP_TOL",
     "WeightedCompositionSpec",
-    "VerificationResult",
     "build_weighted_comp",
     "verify_unitary_factorization",
     "verify_wco_sum",
@@ -62,29 +62,6 @@ class WeightedCompositionSpec(_Record):
         if negative:
             raise ValueError(f"weight must be analytic; found index {negative[0]}")
         super().__init__(weight, multiplier)
-
-
-class VerificationResult(_Record):
-    """The identity checks give ``residual`` and ``tolerance`` in the units of
-    the matrix entries (their values on s * phi divided by s); ``wco-spectrum``
-    relative errors; ``trace-norm-bound`` the trace norm's excess over its
-    majorant, in units of the singular values, and the slack times sigma_1."""
-
-    __slots__ = ("identity", "size", "residual", "tolerance", "passed", "variant")
-
-    def __init__(self, identity: str, size: int, residual: float, tolerance: float,
-                 passed: bool, variant: str | None = None):
-        super().__init__(identity, size, residual, tolerance, passed, variant)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "N": self.size,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "variant": self.variant,
-        }
 
 
 # -- builders ----------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "MemoryBudgetExceeded",
     "LambdaToeplitzSpec",
     "TruncatedOperator",
+    "VerificationResult",
     "powers",
     "entry",
     "resolve_budget_mb",
@@ -131,6 +132,30 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class VerificationResult(_Record):
+    """The identity checks give ``residual`` and ``tolerance`` in the units of
+    the matrix entries (their values on s * phi divided by s); ``wco-spectrum``
+    relative errors; ``trace-norm-bound`` the trace norm's excess over its
+    majorant, in units of the singular values, and the slack times sigma_1;
+    ``sawtooth-growth`` the growth factor's shortfall from its bar."""
+
+    __slots__ = ("identity", "size", "residual", "tolerance", "passed", "variant")
+
+    def __init__(self, identity: str, size: int, residual: float, tolerance: float,
+                 passed: bool, variant: str | None = None):
+        super().__init__(identity, size, residual, tolerance, passed, variant)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "N": self.size,
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "variant": self.variant,
+        }
 
 
 class LambdaToeplitzSpec(_Record):

@@ -51,6 +51,7 @@ from .operator import (
     LambdaToeplitzSpec,
     MemoryBudgetExceeded,
     TruncatedOperator,
+    VerificationResult,
     _Record,
     _TINY,
     _bands,
@@ -65,9 +66,8 @@ from .operator import (
 from .symbol import _unit_exponent, is_unimodular, sawtooth
 
 if TYPE_CHECKING:
-    # names in annotations only; the two checks that make a VerificationResult
-    # import it, so norms, rank and svd_study never load factorization
-    from .factorization import VerificationResult, WeightedCompositionSpec
+    # a name in annotations only: norms, rank and svd_study never load factorization
+    from .factorization import WeightedCompositionSpec
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -423,8 +423,6 @@ def trace_norm_bound_check(
     """trace_norm <= sigma_1 * (1 + 2/(1-|lambda|)) + slack * sigma_1, from
     the decay bound; the tolerance scales with sigma_1, so the verdict does
     not depend on the scale of the symbol."""
-    from .factorization import VerificationResult
-
     mod = abs(complex(lam))
     if mod >= 1.0:
         raise ValueError("trace-norm bound requires |lambda| < 1")
@@ -449,8 +447,6 @@ def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationRes
     0.0 and a small weight(0) rounds to a few subnormals, and equal points
     say nothing about the truncation.
     """
-    from .factorization import VerificationResult
-
     n = _checked_size(size)
     # band 0 of W, the first band of an analytic weight if stored, else zeros
     first = next(_bands(w.weight, n, w.multiplier), (None, None))

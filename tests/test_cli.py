@@ -236,6 +236,79 @@ def test_every_refusal_is_one_message(tmp_path, monkeypatch, capsys, args, what)
     assert not Path("out.json").exists()
 
 
+def _failing(check, variant=None):
+    """``check`` with each result of ``variant`` it makes marked failed."""
+    def fail(r):
+        return r if r.variant != variant else ltoeplitz.VerificationResult(
+            r.identity, r.size, r.residual, r.tolerance, False, r.variant)
+
+    def failing(*args):
+        made = check(*args)
+        return tuple(map(fail, made)) if isinstance(made, tuple) else fail(made)
+    return failing
+
+
+# Every check the CLI makes, by the module attribute that makes it.
+CHECKS = {
+    "trace-norm-bound": ("spectral", "trace_norm_bound_check", None),
+    "unitary": ("factorization", "verify_unitary_factorization", None),
+    "wco-sum": ("factorization", "verify_wco_sum", None),
+    "toeplitz-comp as-stated": ("factorization", "verify_toeplitz_comp_factorization", "as-stated"),
+    "toeplitz-comp corrected": ("factorization", "verify_toeplitz_comp_factorization", "corrected"),
+    "wco-spectrum": ("spectral", "wco_spectrum_check", None),
+    "sawtooth-growth": ("cli", "SAWTOOTH_GROWTH_FACTOR", None),
+}
+SYM, ANALYTIC = ("--symbol", "sym.json", "--lambda-re", "0.5"), ("--symbol", "analytic.json")
+
+
+@pytest.mark.parametrize(
+    "args, failed, status",
+    [(("build", *SYM, "--sizes", "8"), list(CHECKS), 0),
+     (("apply", *SYM, "--vector", "x.csv"), list(CHECKS), 0),
+     (("hsnorm", *ANALYTIC, "--lambda-re", "0.5", "--sizes", "8", "--wco"), list(CHECKS), 0),
+     (("rank", *SYM, "--sizes", "8,16"), list(CHECKS), 0),
+     (("norms", *ANALYTIC, "--lambda-re", "1", "--sizes", "8,16"), list(CHECKS), 0),
+     (("solve-recurrence", *SYM, "--sizes", "8"), list(CHECKS), 0),
+     (("svd", *SYM, "--sizes", "8,16"), ["trace-norm-bound"], 1),
+     (("svd", *ANALYTIC, "--lambda-re", "1", "--sizes", "8"), ["trace-norm-bound"], 0),
+     (("verify", *ANALYTIC, "--lambda-im", "1", "--sizes", "8", "--identity", "unitary"),
+      ["unitary"], 1),
+     (("verify", *SYM, "--sizes", "8", "--identity", "wco-sum"), ["wco-sum"], 1),
+     (("verify", *SYM, "--sizes", "8", "--identity", "toeplitz-comp"),
+      ["toeplitz-comp as-stated"], 0),
+     (("verify", *SYM, "--sizes", "8", "--identity", "toeplitz-comp"),
+      ["toeplitz-comp corrected"], 1),
+     (("spectrum", *ANALYTIC, "--lambda-re", "0.5", "--sizes", "8,16"), ["wco-spectrum"], 1),
+     (("sawtooth-demo", "--sizes", "8,256"), ["sawtooth-growth"], 1),
+     (("sawtooth-demo", "--sizes", "64"), ["sawtooth-growth"], 0)],
+    ids=["build", "apply", "hsnorm", "rank", "norms", "solve-recurrence", "svd",
+         "svd-on-the-circle", "verify-unitary", "verify-wco-sum",
+         "verify-toeplitz-comp-as-stated", "verify-toeplitz-comp-corrected", "spectrum",
+         "sawtooth-demo", "sawtooth-demo-one-size"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exit_one_exactly_when_a_gated_result_fails(tmp_path, monkeypatch, capsys, args, failed,
+                                                     status, fmt):
+    """Each command exits 0 as it stands, and ``status`` once the checks in
+    ``failed`` fail: 1 where a gated result fails, 0 where none is made or
+    the failed one is a report only (the as-stated toeplitz-comp)."""
+    monkeypatch.chdir(tmp_path)
+    write_symbol_file(FourierSymbol({-1: 1.0, 0: 2.0, 1: 1.0}), "sym.json")
+    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, 3: -0.5j}), "analytic.json")
+    Path("x.csv").write_text("".join(Records(np.ones(8, dtype=complex)).chunks()))
+    argv = (*args, "--format", fmt, "--out", f"out.{fmt}")
+    assert run_cli(*argv) == 0
+    for name in failed:
+        module, attr, variant = CHECKS[name]
+        module = getattr(ltoeplitz, module)
+        if attr == "SAWTOOTH_GROWTH_FACTOR":
+            monkeypatch.setattr(module, attr, math.inf)
+        else:
+            monkeypatch.setattr(module, attr, _failing(getattr(module, attr), variant))
+    assert run_cli(*argv) == status
+    assert capsys.readouterr().err == ""
+
+
 class TestBandwiseMemory:
     """verify and spectrum compare bands in O(N) memory, past the dense limit."""
 

@@ -112,6 +112,27 @@ def test_only_charge_reads_the_budget():
     assert len(inside) == 2  # the budget read and the exception it raises
 
 
+def test_only_run_reads_the_verify_exit():
+    """The handlers return the results they gate, and ``cli.run`` alone turns
+    a failed one into ``EXIT_VERIFY_FAILED``."""
+    inside, outside = [], []
+    for path in sorted(Path(ltoeplitz.__file__).parent.glob("*.py")):
+        tree = _tree(path)
+        run = {
+            id(n) for f in ast.walk(tree)
+            if path.name == "cli.py" and isinstance(f, ast.FunctionDef) and f.name == "run"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            read = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id == "EXIT_VERIFY_FAILED"
+                    or isinstance(node, ast.Attribute) and node.attr == "EXIT_VERIFY_FAILED")
+            if read:
+                (inside if id(node) in run else outside).append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert len(inside) == 1
+
+
 def test_fft_layout_is_decided_in_one_place():
     """In ``operator.py`` only ``_kernel_hat``, which lays a kernel out
     cyclically, and ``_convolve``, which applies one, reach ``np.fft``."""
@@ -130,7 +151,7 @@ def test_fft_layout_is_decided_in_one_place():
 RECORDS = [
     (operator.LambdaToeplitzSpec, (0.5 + 0j, symbol.FourierSymbol({0: 1.0})), True),
     (factorization.WeightedCompositionSpec, (symbol.FourierSymbol({1: 2.0}), 0.5 + 0j), True),
-    (factorization.VerificationResult, ("unitary", 3, 0.1, 0.2, True, None), True),
+    (operator.VerificationResult, ("unitary", 3, 0.1, 0.2, True, None), True),
     (operator.TruncatedOperator, (2, np.eye(2), ""), False),
     (spectral.SpectralReport, (1, np.ones(1), 1.0, 1.0, 1.0, 1, np.zeros(0)), False),
 ]
@@ -160,9 +181,20 @@ def test_records_are_immutable(record, values, by_value):
     assert type(restored) is record and repr(restored) == repr(made)
 
 
+def test_verification_result_keeps_its_old_import_path():
+    """``factorization`` re-exports the record ``operator`` defines and lists,
+    and a result pickled under the old module path loads as the same class."""
+    assert factorization.VerificationResult is operator.VerificationResult
+    assert "VerificationResult" not in factorization.__all__
+    made = operator.VerificationResult("wco-sum", 4, 0.0, 1e-14, True)
+    dumped = pickle.dumps(made, protocol=0)
+    old = dumped.replace(b"ltoeplitz.operator\n", b"ltoeplitz.factorization\n")
+    assert old != dumped and pickle.loads(old) == made
+
+
 def test_record_defaults_and_checks():
     assert operator.TruncatedOperator(1, np.ones((1, 1))).provenance == ""
-    assert factorization.VerificationResult("unitary", 1, 0.0, 1.0, True).variant is None
+    assert operator.VerificationResult("unitary", 1, 0.0, 1.0, True).variant is None
     assert repr(operator.LambdaToeplitzSpec(0.5, symbol.FourierSymbol({0: 1.0}))) == (
         "LambdaToeplitzSpec(lam=(0.5+0j), symbol=FourierSymbol({0: 1+0j}))")
     with pytest.raises(ValueError, match=r"^\|lambda\| = 2\.0 lies outside the closed unit disc$"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -253,18 +253,25 @@ class TestNorms:
         assert values[1].real == -1e308
 
     @given(symbols(max_index=6), st.integers(-1000, 1000), st.integers(1, 20))
+    # the real part at 2pi/3 is -2^-1075, which rounds to -0.0; times 2^52 it
+    # is -2^-1023, a subnormal the scaled symbol gives exactly
+    @example(FourierSymbol({1: 5e-324}), 52, 3)
     def test_evaluate_on_grid_commutes_with_powers_of_two(self, phi, k, m):
         # exact while every part of 2^k phi and each compared value is normal
-        # or 0; both symbols are stored in one order, since the fold sums in it
+        # or 0 on both sides; both symbols are stored in one order, since the
+        # fold sums in it. A value that underflowed to 0 only bounds the scaled
+        # one: it lies below tiny before the scaling, so below 2^k tiny after.
         phi, tiny = FourierSymbol(dict(phi.items())), np.finfo(float).tiny
         parts = [x for _, a in phi.items() for x in (a.real, a.imag) if x != 0.0]
         assume(all(abs(math.ldexp(x, k)) >= tiny for x in parts))
         scaled = FourierSymbol({n: complex(math.ldexp(a.real, k), math.ldexp(a.imag, k))
                                 for n, a in phi.items()})
         values = phi.evaluate_on_grid(m).view(float)
-        want = np.ldexp(values, k)
-        normal = (values == 0.0) | ((np.abs(values) >= tiny) & (np.abs(want) >= tiny))
-        assert np.array_equal(scaled.evaluate_on_grid(m).view(float)[normal], want[normal])
+        got, want = scaled.evaluate_on_grid(m).view(float), np.ldexp(values, k)
+        zero = values == 0.0
+        exact = (zero & (got == 0.0)) | ((np.abs(values) >= tiny) & (np.abs(want) >= tiny))
+        assert np.array_equal(got[exact], want[exact])
+        assert np.all(np.abs(got[zero & (got != 0.0)]) < math.ldexp(tiny, k))
 
 
 class TestSawtooth:
