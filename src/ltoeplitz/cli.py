@@ -65,6 +65,9 @@ EXIT_INPUT_ERROR = 2
 
 IDENTITIES = ("unitary", "wco-sum", "toeplitz-comp")
 SAWTOOTH_GROWTH_FACTOR = 1.5
+# norms takes the sup norm of a symbol on -K..K on max(SUP_NORM_GRID, 2K + 1)
+# equispaced points
+SUP_NORM_GRID = 4096
 
 
 class CliInputError(Exception):
@@ -101,10 +104,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", dest="output_path", help="output file (stdout when omitted)")
     output.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-    rank_tol = argparse.ArgumentParser(add_help=False)
-    # absent unless given: the handlers fall back to spectral.DEFAULT_RANK_TOL,
-    # so parsing reads nothing of spectral
-    rank_tol.add_argument("--rank-tol", dest="rank_tol", type=float, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="ltoep", description="lambda-Toeplitz truncation toolkit"
@@ -115,16 +114,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", parents=[spec, output], help="apply the operator to a vector")
     p_apply.add_argument("--vector", dest="vector_path", required=True, help="input vector CSV (k,re,im)")
     p_apply.add_argument("--method", choices=("fast", "naive"), default="fast")
-    sub.add_parser("svd", parents=[spec, sizes, output, rank_tol], help="singular-value reports per size")
+    sub.add_parser("svd", parents=[spec, sizes, output], help="singular-value reports per size")
     p_hs = sub.add_parser("hsnorm", parents=[spec, sizes, output], help="Hilbert-Schmidt norm: closed form vs truncations")
     p_hs.add_argument("--wco", action="store_true", help="also estimate the norm by kernel quadrature (analytic symbol)")
     p_hs.add_argument("--grid-size", dest="grid_size", type=int, default=1024)
     p_verify = sub.add_parser("verify", parents=[spec, sizes, output], help="residual check of one factorization identity")
     p_verify.add_argument("--identity", choices=IDENTITIES, required=True)
-    sub.add_parser("rank", parents=[spec, sizes, output, rank_tol], help="numerical rank per size")
+    sub.add_parser("rank", parents=[spec, sizes, output], help="numerical rank per size")
     sub.add_parser("spectrum", parents=[spec, sizes, output], help="weighted-composition spectrum check (multiplier = lambda)")
-    p_norms = sub.add_parser("norms", parents=[spec, sizes, output], help="truncation norm convergence for |lambda| = 1")
-    p_norms.add_argument("--grid-size", dest="grid_size", type=int, default=4096)
+    sub.add_parser("norms", parents=[spec, sizes, output], help="truncation norm convergence for |lambda| = 1")
     p_solve = sub.add_parser("solve-recurrence", parents=[spec, sizes, output], help="rebuild a truncation from its borders")
     p_solve.add_argument("--b-matrix", dest="b_matrix_path", help="forcing matrix CSV (n,m,re,im); zero when omitted")
     p_saw = sub.add_parser("sawtooth-demo", parents=[sizes, output], help="norm growth of the lambda=-1 ramp operator")
@@ -147,8 +145,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    if not 0.0 < getattr(args, "rank_tol", 0.5) < 1.0:
-        raise CliInputError("--rank-tol must lie in (0, 1)")
     if getattr(args, "grid_size", 1) < 1:
         raise CliInputError("--grid-size must be at least 1")
     lam = getattr(args, "lam", 0.0)
@@ -178,15 +174,6 @@ def _single_size(args: argparse.Namespace) -> int:
     if len(args.sizes) != 1:
         raise CliInputError(f"command {args.command!r} takes exactly one size")
     return args.sizes[0]
-
-
-def _charge_grid(args: argparse.Namespace, points: int, grids: int) -> None:
-    """Charge a quadrature that holds ``grids`` complex arrays of ``points``
-    points at once, naming what set ``points``: ``--grid-size``, or the
-    symbol's 2K + 1 points where they exceed it."""
-    source = (f"--grid-size {args.grid_size}" if points == args.grid_size
-              else f"the symbol's largest |n| = {points // 2}")
-    operator._charge(16 * grids * points, f"{source} ({grids} complex grids of {points} points)")
 
 
 def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
@@ -240,8 +227,7 @@ def _cmd_apply(args: argparse.Namespace) -> list:
 
 
 def _cmd_svd(args: argparse.Namespace) -> list:
-    reports = spectral.svd_study(_make_spec(args), args.sizes,
-                                 getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
+    reports = spectral.svd_study(_make_spec(args), args.sizes)
     # the trace-norm majorant holds for |lambda| < 1 only
     bounds = [spectral.trace_norm_bound_check(r, args.lam) if abs(args.lam) < 1.0 else None
               for r in reports]
@@ -265,7 +251,9 @@ def _cmd_hsnorm(args: argparse.Namespace) -> list:
             w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
         except ValueError as exc:
             raise CliInputError(f"--wco: {exc}") from exc
-        _charge_grid(args, args.grid_size, grids=3)  # kernel_hs_norm's circulant, fold and FFT
+        # kernel_hs_norm's circulant, fold and FFT
+        operator._charge(16 * 3 * args.grid_size,
+                         f"--grid-size {args.grid_size} (3 complex grids of {args.grid_size} points)")
     truncations = [
         {"N": n, "frobenius": spectral.frobenius_norm(spec, n)} for n in args.sizes
     ]
@@ -310,8 +298,7 @@ def _cmd_verify(args: argparse.Namespace) -> list:
 
 
 def _cmd_rank(args: argparse.Namespace) -> list:
-    study = spectral.finite_rank_study(_make_spec(args), args.sizes,
-                                       getattr(args, "rank_tol", spectral.DEFAULT_RANK_TOL))
+    study = spectral.finite_rank_study(_make_spec(args), args.sizes)
     _write(args, lambda: [{"N": n, "numerical_rank": r} for n, r in study],
            lambda: csv_text("N,rank", study), f"ranks {[r for _, r in study]}")
     return []
@@ -322,7 +309,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> list:
         w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
     except ValueError as exc:
         raise CliInputError(f"{args.symbol_path}: {exc}") from exc
-    results = [spectral.wco_spectrum_check(w, n) for n in args.sizes]
+    results = [factorization.wco_spectrum_check(w, n) for n in args.sizes]
     return _emit_verifications(args, results, results)
 
 
@@ -330,8 +317,10 @@ def _cmd_norms(args: argparse.Namespace) -> list:
     spec = _make_spec(args)
     spectral.norm_convergence_study(spec, ())  # refuses |lambda| != 1 before the twist and grid
     twisted = spec.symbol.twist_plus(spec.lam)
-    grid = max(args.grid_size, 2 * twisted.max_abs_index + 1)
-    _charge_grid(args, grid, grids=2)  # evaluate_on_grid's fold and FFT, before the study
+    k = twisted.max_abs_index
+    grid = max(SUP_NORM_GRID, 2 * k + 1)
+    # evaluate_on_grid's fold and FFT, before the study
+    operator._charge(16 * 2 * grid, f"K={k} sup-norm estimate (2 complex grids of {grid} points)")
     study = spectral.norm_convergence_study(spec, args.sizes)
     target = twisted.sup_norm_estimate(grid)
     _write(

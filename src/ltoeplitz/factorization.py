@@ -1,7 +1,8 @@
 """Companion operators and residual checks for the factorization identities.
 
-Builds weighted composition operators with linear multiplier tau(z) = c z,
-verifies each identity tying them, and the diagonal unitary and classical
+Builds weighted composition operators W with linear multiplier tau(z) = c z,
+checks the spectrum of W and gives its Hilbert-Schmidt norm in closed form,
+verifies each identity tying W, and the diagonal unitary and classical
 Toeplitz truncations (those of (lambda, 1) and (1, phi)), to the
 lambda-Toeplitz truncation as an entrywise residual, and estimates the
 Hilbert-Schmidt norm of W by kernel quadrature.
@@ -18,6 +19,7 @@ from .operator import (
     TruncatedOperator,
     VerificationResult,
     _Record,
+    _TINY,
     _bands,
     _checked_size,
     _disc_point,
@@ -34,6 +36,8 @@ __all__ = [
     "DEFAULT_TOEPLITZ_COMP_TOL",
     "WeightedCompositionSpec",
     "build_weighted_comp",
+    "wco_hs_norm_closed_form",
+    "wco_spectrum_check",
     "verify_unitary_factorization",
     "verify_wco_sum",
     "verify_toeplitz_comp_factorization",
@@ -45,6 +49,7 @@ __all__ = [
 DEFAULT_UNITARY_TOL = 1e-12
 DEFAULT_WCO_SUM_TOL = 1e-14
 DEFAULT_TOEPLITZ_COMP_TOL = 1e-14
+_SPECTRUM_TOL = 1e-14  # relative error of each eigenvalue of W
 
 
 class WeightedCompositionSpec(_Record):
@@ -71,6 +76,49 @@ def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOpera
     """Lower-triangular matrix entry(n, m) = multiplier^m * weight_{n-m}, the
     truncation of (multiplier, weight)."""
     return truncate(LambdaToeplitzSpec(w.multiplier, w.weight), size)
+
+
+# -- laws of W alone ---------------------------------------------------------
+
+
+def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:
+    """Hilbert-Schmidt norm of W(psi, c), the operator of (c, psi):
+    l2_norm(weight) / sqrt(1 - |multiplier|^2)."""
+    from .spectral import hs_norm_closed_form  # here, so that `spectrum` leaves spectral unexecuted
+
+    return hs_norm_closed_form(LambdaToeplitzSpec(w.multiplier, w.weight))
+
+
+def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationResult:
+    """Eigenvalues of the W truncation are exactly {multiplier^m * weight(0)}.
+
+    The truncation is lower triangular, so its eigenvalues are read off the
+    diagonal. The residual is the largest error of a diagonal entry relative
+    to its predicted point, absolute where that point lies below the normal
+    range, so an error in an entry of 0.8^200 is as visible as one in 1.0.
+    For weight(0) != 0 and 0 < |multiplier| < 1 the predicted points must
+    also be pairwise distinct (the tail of an infinite spectrum). Points
+    below the normal range are left out of that test: there ``powers`` gives
+    0.0 and a small weight(0) rounds to a few subnormals, and equal points
+    say nothing about the truncation.
+    """
+    n = _checked_size(size)
+    # band 0 of W, the first band of an analytic weight if stored, else zeros
+    first = next(_bands(w.weight, n, w.multiplier), (None, None))
+    diag = first[1] if first[0] == 0 else np.zeros(n, dtype=complex)
+    psi0 = w.weight.coefficient(0)
+    predicted = powers(w.multiplier, n) * psi0
+    magnitude = np.abs(predicted)
+    normal = magnitude >= _TINY
+    error = np.abs(diag - predicted)
+    error[normal] /= magnitude[normal]
+    residual = float(np.max(error))
+    ok = residual <= _SPECTRUM_TOL
+    mod = abs(w.multiplier)
+    if psi0 != 0 and 0.0 < mod < 1.0:
+        points = predicted[normal]
+        ok = ok and len(set(points.tolist())) == points.size
+    return VerificationResult("wco-spectrum", n, residual, _SPECTRUM_TOL, ok)
 
 
 # -- factorization checks ------------------------------------------------------

@@ -67,9 +67,12 @@ def powers(base: complex, count: int) -> np.ndarray:
     settle on the smallest of them instead of 0. So the powers are U nonzero
     ones, U within 1 of log(tiny) / log|base| (all of them for |base| >= 1),
     then exact zeros. The products stop a step past that estimate, and go on
-    only if rounding kept every one of them above tiny.
+    only if rounding kept every one of them above tiny. Their 16 ``count``
+    bytes are charged first, as ``N=<count> powers``.
     """
-    out = np.zeros(int(count), dtype=complex)
+    n = int(count)
+    _charge(16 * n, f"N={n} powers")
+    out = np.zeros(n, dtype=complex)
     if out.size == 0:
         return out
     base = complex(base)
@@ -389,8 +392,8 @@ def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     value = np.array([a for _, a in bands], dtype=complex)
     k = int(np.abs(index).max(initial=0))
     plus = index >= 0
-    if is_unimodular(spec.lam):
-        value[plus] *= powers(1 / spec.lam, k + 1)[index[plus]]
+    unimodular = is_unimodular(spec.lam)
+    if unimodular:
         groups = [(index, value, False)]
     else:
         groups = [(index[plus], value[plus], True), (index[~plus], value[~plus], False)]
@@ -402,6 +405,8 @@ def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
         # sum being formed, 4 + t of length N, one a view into one of L.
         t = len(groups)
         charge(16 * ((3 + t) * n + (3 + 2 * t) * _next_fast_len(n + k)))
+    if unimodular:
+        value[plus] *= powers(1 / spec.lam, k + 1)[index[plus]]  # psi, in the one group's array
     pows = powers(spec.lam, n)
     side = n if pows[-1] else min(n, np.count_nonzero(pows) + k)  # zeros are a suffix
     length = _next_fast_len(side + k)

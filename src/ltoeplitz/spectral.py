@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,21 +52,15 @@ from .operator import (
     TruncatedOperator,
     VerificationResult,
     _Record,
-    _TINY,
     _bands,
     _charge,
     _checked_size,
     _unit_scaled,
     _unscaled,
-    powers,
     prepare,
     truncate,
 )
 from .symbol import _unit_exponent, is_unimodular, sawtooth
-
-if TYPE_CHECKING:
-    # a name in annotations only: norms, rank and svd_study never load factorization
-    from .factorization import WeightedCompositionSpec
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -80,17 +73,14 @@ __all__ = [
     "frobenius_norm",
     "top_singular_value",
     "hs_norm_closed_form",
-    "wco_hs_norm_closed_form",
     "norm_convergence_study",
     "sawtooth_growth_study",
     "trace_norm_bound_check",
-    "wco_spectrum_check",
     "finite_rank_study",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
 TRACE_BOUND_SLACK = 1e-9
-_SPECTRUM_TOL = 1e-14  # relative error of each eigenvalue
 # Lanczos stops once the top Ritz pair's residual is this small relative to
 # the Ritz value.
 KRYLOV_RTOL = 1e-13
@@ -365,6 +355,8 @@ def svd_study(
         previous, core = core, _core(spec, n)
         if previous is None or not np.array_equal(previous, core):
             core_sing = _svdvals(core, n)
+        # the zero padding and the values joined to it, 8 bytes each
+        _charge(16 * n, f"N={n} singular values")
         sing = np.concatenate([core_sing, np.zeros(n - min(core.shape))])
         reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
     return reports
@@ -380,12 +372,6 @@ def hs_norm_closed_form(spec: LambdaToeplitzSpec) -> float:
     if mod >= 1.0:
         raise ValueError("Hilbert-Schmidt closed form requires |lambda| < 1")
     return spec.symbol.l2_norm() / math.sqrt(1.0 - mod * mod)
-
-
-def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:
-    """Hilbert-Schmidt norm of W(psi, c), the operator of (c, psi):
-    l2_norm(weight) / sqrt(1 - |multiplier|^2)."""
-    return hs_norm_closed_form(LambdaToeplitzSpec(w.multiplier, w.weight))
 
 
 def norm_convergence_study(
@@ -432,38 +418,6 @@ def trace_norm_bound_check(
     return VerificationResult(
         "trace-norm-bound", report.size, residual, tolerance, residual <= tolerance
     )
-
-
-def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationResult:
-    """Eigenvalues of the W truncation are exactly {multiplier^m * weight(0)}.
-
-    The truncation is lower triangular, so its eigenvalues are read off the
-    diagonal. The residual is the largest error of a diagonal entry relative
-    to its predicted point, absolute where that point lies below the normal
-    range, so an error in an entry of 0.8^200 is as visible as one in 1.0.
-    For weight(0) != 0 and 0 < |multiplier| < 1 the predicted points must
-    also be pairwise distinct (the tail of an infinite spectrum). Points
-    below the normal range are left out of that test: there ``powers`` gives
-    0.0 and a small weight(0) rounds to a few subnormals, and equal points
-    say nothing about the truncation.
-    """
-    n = _checked_size(size)
-    # band 0 of W, the first band of an analytic weight if stored, else zeros
-    first = next(_bands(w.weight, n, w.multiplier), (None, None))
-    diag = first[1] if first[0] == 0 else np.zeros(n, dtype=complex)
-    psi0 = w.weight.coefficient(0)
-    predicted = powers(w.multiplier, n) * psi0
-    magnitude = np.abs(predicted)
-    normal = magnitude >= _TINY
-    error = np.abs(diag - predicted)
-    error[normal] /= magnitude[normal]
-    residual = float(np.max(error))
-    ok = residual <= _SPECTRUM_TOL
-    mod = abs(w.multiplier)
-    if psi0 != 0 and 0.0 < mod < 1.0:
-        points = predicted[normal]
-        ok = ok and len(set(points.tolist())) == points.size
-    return VerificationResult("wco-spectrum", n, residual, _SPECTRUM_TOL, ok)
 
 
 def finite_rank_study(

@@ -1,4 +1,3 @@
-import argparse
 import cmath
 import gc
 import itertools
@@ -17,7 +16,7 @@ import pytest
 
 import ltoeplitz
 from ltoeplitz import FourierSymbol, LambdaToeplitzSpec, analyze, sawtooth, truncate, write_symbol_file
-from ltoeplitz.cli import build_arg_parser, main, parse_args
+from ltoeplitz.cli import main, parse_args
 from ltoeplitz.output import Records, read_matrix_csv, read_vector_csv
 
 from conftest import peak_traced_mb
@@ -37,25 +36,34 @@ def analytic_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge_index_path(tmp_path):
+    # norms evaluates this symbol on 2K + 1 = 2e11 + 1 points
+    path = tmp_path / "huge_index.json"
+    write_symbol_file(FourierSymbol({0: 1.0, 10**11: 1.0}), path)
+    return str(path)
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# The flags every subcommand once took, each with a value it parses.
+# The flags every subcommand once took, and --grid-size, each with a value it parses.
 FORMER_COMMON = {
     "--lambda-re": "0.5", "--lambda-im": "0.25", "--symbol": "s.json", "--sizes": "9",
     "--tol": "1e-9", "--out": "o.json", "--format": "csv", "--rank-tol": "1e-9",
+    "--grid-size": "64",
 }
 OPERATOR = {"--lambda-re", "--lambda-im", "--symbol"}
 OUTPUT = {"--out", "--format"}
 READS = {
     "build": OPERATOR | {"--sizes"} | OUTPUT,
     "apply": OPERATOR | OUTPUT,
-    "svd": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
-    "hsnorm": OPERATOR | {"--sizes"} | OUTPUT,
+    "svd": OPERATOR | {"--sizes"} | OUTPUT,
+    "hsnorm": OPERATOR | {"--sizes", "--grid-size"} | OUTPUT,
     "verify": OPERATOR | {"--sizes"} | OUTPUT,
-    "rank": OPERATOR | {"--sizes", "--rank-tol"} | OUTPUT,
+    "rank": OPERATOR | {"--sizes"} | OUTPUT,
     "spectrum": OPERATOR | {"--sizes"} | OUTPUT,
     "norms": OPERATOR | {"--sizes"} | OUTPUT,
     "solve-recurrence": OPERATOR | {"--sizes"} | OUTPUT,
@@ -78,28 +86,6 @@ class TestFlagsPerCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: unrecognized arguments: {flag} {FORMER_COMMON[flag]}" in err
-
-    def test_readme_flag_table_matches_the_parser(self):
-        # a cell that is not blank documents its column's flags and any it names itself
-        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-        start = next(i for i, line in enumerate(lines) if line.startswith("| command |"))
-        table = [line.split("|")[1:-1]
-                 for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
-        header, rows = table[0], table[2:]
-        (subparsers,) = (a for a in build_arg_parser()._actions
-                         if isinstance(a, argparse._SubParsersAction))
-        mismatch = {}
-        for command, *cells in rows:
-            command = command.strip().strip("`")
-            table_flags = {flag for head, cell in zip(header[1:], cells) if cell.strip()
-                           for flag in re.findall(r"--[a-z-]+", head + cell)}
-            parser_flags = {flag for action in subparsers.choices[command]._actions
-                            for flag in action.option_strings} - {"-h", "--help"}
-            if table_flags != parser_flags:
-                mismatch[command] = {"table only": table_flags - parser_flags,
-                                     "parser only": parser_flags - table_flags}
-        assert mismatch == {}
-        assert [row[0].strip().strip("`") for row in rows] == list(subparsers.choices)
 
     def test_readme_cli_lines_parse(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -206,33 +192,37 @@ class TestExitStatusContract:
 
 
 @pytest.mark.parametrize(
-    "args, what",
-    [(("build", "--sizes", "40"), "N=40 dense truncation"),
-     (("apply", "--method", "naive", "--vector", "x40.csv"), "N=40 dense truncation"),
-     (("solve-recurrence", "--sizes", "40"), "N=40 dense truncation"),
-     (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 recurrence solution"),
-     (("svd", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation"),
-     (("rank", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation"),
-     (("norms", "--lambda-re", "1", "--sizes", "40"), "--grid-size 4096 (2 complex grids of 4096 points)"),
-     (("norms", "--lambda-re", "1", "--sizes", "40", "--grid-size", "1"), "N=40: one Lanczos step"),
-     (("sawtooth-demo", "--sizes", "8,40"), "N=8: one Lanczos step"),
+    "args, what, budget",
+    [(("build", "--sizes", "40"), "N=40 dense truncation", "0.01"),
+     (("apply", "--method", "naive", "--vector", "x40.csv"), "N=40 dense truncation", "0.01"),
+     (("solve-recurrence", "--sizes", "40"), "N=40 dense truncation", "0.01"),
+     (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 recurrence solution",
+      "0.01"),
+     (("svd", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation", "0.01"),
+     (("rank", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation", "0.01"),
+     (("norms", "--lambda-re", "1", "--sizes", "40"),
+      "K=3 sup-norm estimate (2 complex grids of 4096 points)", "0.01"),
+     # the grids take 0.125 MB and fit; one Lanczos step at N = 1024 takes 0.189 MB
+     (("norms", "--lambda-re", "1", "--sizes", "1024"), "N=1024: one Lanczos step", "0.15"),
+     (("sawtooth-demo", "--sizes", "8,40"), "N=8: one Lanczos step", "0.01"),
      (("hsnorm", "--wco", "--lambda-re", "0.5", "--sizes", "40"),
-      "--grid-size 1024 (3 complex grids of 1024 points)")],
+      "--grid-size 1024 (3 complex grids of 1024 points)", "0.01")],
     ids=["build", "apply-naive", "solve-recurrence", "solve-recurrence-b-matrix", "svd", "rank",
          "norms-grid", "norms-lanczos", "sawtooth-demo", "hsnorm-wco"],
 )
-def test_every_refusal_is_one_message(tmp_path, monkeypatch, capsys, args, what):
+def test_every_refusal_is_one_message(tmp_path, monkeypatch, capsys, args, what, budget):
     # every charge against the budget names what it refuses and its size
     monkeypatch.chdir(tmp_path)
     write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, 3: -0.5j}), "sym.json")
     Path("x40.csv").write_text("".join(Records(np.ones(40, dtype=complex)).chunks()))
     Path("b40.csv").write_text("".join(Records(np.ones((40, 40), dtype=complex)).chunks()))
-    monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
+    monkeypatch.setenv("LT_MEM_BUDGET_MB", budget)
     symbol = () if args[0] == "sawtooth-demo" else ("--symbol", "sym.json")
     assert run_cli(*args, *symbol, "--out", "out.json") == 2
     out, err = capsys.readouterr()
-    match = re.fullmatch(r"error: (.+) needs (\S+) MB; budget 0\.01 MB \(LT_MEM_BUDGET_MB\)\n", err)
+    match = re.fullmatch(r"error: (.+) needs (\S+) MB; budget (\S+) MB \(LT_MEM_BUDGET_MB\)\n", err)
     assert out == "" and match and match[1] == what and float(match[2]) > 0.0
+    assert match[3] == budget
     assert not Path("out.json").exists()
 
 
@@ -255,7 +245,7 @@ CHECKS = {
     "wco-sum": ("factorization", "verify_wco_sum", None),
     "toeplitz-comp as-stated": ("factorization", "verify_toeplitz_comp_factorization", "as-stated"),
     "toeplitz-comp corrected": ("factorization", "verify_toeplitz_comp_factorization", "corrected"),
-    "wco-spectrum": ("spectral", "wco_spectrum_check", None),
+    "wco-spectrum": ("factorization", "wco_spectrum_check", None),
     "sawtooth-growth": ("cli", "SAWTOOTH_GROWTH_FACTOR", None),
 }
 SYM, ANALYTIC = ("--symbol", "sym.json", "--lambda-re", "0.5"), ("--symbol", "analytic.json")
@@ -469,34 +459,45 @@ class TestBoundaryInput:
         "args",
         [
             ("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "0"),
+            # norms has a fixed grid: argparse refuses the flag, whatever its value
             ("norms", "--lambda-re", "1", "--grid-size", "-3"),
         ],
     )
     def test_grid_size_below_one(self, analytic_path, capsys, args):
-        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8") == 2
+        try:
+            status = run_cli(*args, "--symbol", analytic_path, "--sizes", "8")
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2
         assert "--grid-size" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args", [("hsnorm", "--wco", "--lambda-re", "0.5"), ("norms", "--lambda-re", "1")],
+        "args, huge_index, source",
+        [(("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "100000000000"), False,
+          "--grid-size 100000000000"),
+         (("norms", "--lambda-re", "1"), True, "K=100000000000 sup-norm estimate")],
         ids=["hsnorm", "norms"],
     )
-    def test_grid_size_over_the_budget(self, analytic_path, capsys, args):
+    def test_grid_size_over_the_budget(self, analytic_path, huge_index_path, capsys, args,
+                                       huge_index, source):
         # 1e11 complex points would take 1.5 TB
-        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8",
-                       "--grid-size", "100000000000") == 2
+        path = huge_index_path if huge_index else analytic_path
+        assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         captured = capsys.readouterr()
-        assert "--grid-size 100000000000" in captured.err and "budget 1024 MB" in captured.err
+        assert source in captured.err and "budget 1024 MB" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "args, message",
-        [(("hsnorm", "--wco", "--lambda-re", "1"), "Hilbert-Schmidt closed form requires |lambda| < 1"),
-         (("norms", "--lambda-re", "0.5"), "norm convergence study requires |lambda| = 1")],
+        "args, huge_index, message",
+        [(("hsnorm", "--wco", "--lambda-re", "1", "--grid-size", "100000000000"), False,
+          "Hilbert-Schmidt closed form requires |lambda| < 1"),
+         (("norms", "--lambda-re", "0.5"), True, "norm convergence study requires |lambda| = 1")],
         ids=["hsnorm", "norms"],
     )
-    def test_bad_lambda_is_refused_before_the_grid(self, analytic_path, capsys, args, message):
-        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "8",
-                       "--grid-size", "100000000000") == 2
+    def test_bad_lambda_is_refused_before_the_grid(self, analytic_path, huge_index_path, capsys,
+                                                   args, huge_index, message):
+        path = huge_index_path if huge_index else analytic_path
+        assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_norms_names_an_overflowing_twist(self, tmp_path, capsys):
@@ -514,27 +515,25 @@ class TestBoundaryInput:
         assert capsys.readouterr().err == "error: norm convergence study requires |lambda| = 1\n"
 
     @pytest.mark.parametrize(
-        "args, symbol, points, grids, source",
+        "args, symbol, points, grids, source, budget",
         [(("hsnorm", "--wco", "--lambda-re", "0.5", "--grid-size", "32768"), None, 32768, 3,
-          "--grid-size 32768"),
-         (("norms", "--lambda-re", "1", "--grid-size", "65536"), None, 65536, 2,
-          "--grid-size 65536"),
-         # the ramp on -K..K, K = 20000, is evaluated on 2K + 1 points, not 64:
-         # the symbol sets the grid, not the flag
-         (("norms", "--lambda-re", "-1", "--grid-size", "64"), sawtooth(20000), 40001, 2,
-          "the symbol's largest |n| = 20000"),
+          "--grid-size 32768", "1"),
+         # K = 3: the grid of 4096 points, 0.0625 MB each
+         (("norms", "--lambda-re", "1"), None, 4096, 2, "K=3 sup-norm estimate", "0.1"),
+         # the ramp on -K..K, K = 20000, is evaluated on its 2K + 1 points, more than 4096
          (("norms", "--lambda-re", "-1"), sawtooth(20000), 40001, 2,
-          "the symbol's largest |n| = 20000"),
+          "K=20000 sup-norm estimate", "1"),
          (("norms", "--lambda-re", "1"), FourierSymbol({0: 1.0, 10**20: 1.0}), 2 * 10**20 + 1, 2,
-          "the symbol's largest |n| = 100000000000000000000")],
-        ids=["hsnorm", "norms", "norms-ramp", "norms-default-grid", "norms-huge-index"],
+          "K=100000000000000000000 sup-norm estimate", "1")],
+        ids=["hsnorm", "norms", "norms-ramp", "norms-huge-index"],
     )
     def test_grid_size_charges_every_grid_held_at_once(
-        self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids, source
+        self, analytic_path, tmp_path, monkeypatch, capsys, args, symbol, points, grids, source,
+        budget,
     ):
-        # one grid fits in 1 MB; the grids that are held together do not, and
-        # norms charges them before its study, which would hide them behind
-        # a Lanczos budget refusal or run to the end first
+        # one grid fits in the budget; the grids that are held together do
+        # not, and norms charges them before its study, which would hide them
+        # behind a Lanczos budget refusal or run to the end first
         def study(*args):
             raise AssertionError("the norms study ran before the grid was charged")
 
@@ -543,12 +542,12 @@ class TestBoundaryInput:
             path = tmp_path / "symbol.json"
             write_symbol_file(symbol, path)
         monkeypatch.setattr(ltoeplitz.spectral, "top_singular_value", study)
-        monkeypatch.setenv("LT_MEM_BUDGET_MB", "1")
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", budget)
         assert run_cli(*args, "--symbol", path, "--sizes", "8") == 2
         need = grids * points * 16 / 2**20
         assert capsys.readouterr().err == (
             f"error: {source} ({grids} complex grids of {points} points) "
-            f"needs {need:.3g} MB; budget 1 MB (LT_MEM_BUDGET_MB)\n"
+            f"needs {need:.3g} MB; budget {budget} MB (LT_MEM_BUDGET_MB)\n"
         )
 
     @pytest.mark.parametrize(
@@ -556,13 +555,12 @@ class TestBoundaryInput:
         [(("--sizes", "4,x"), "bad --sizes value '4,x': entry 2 is 'x', not an ASCII decimal integer"),
          (("--sizes", ","), "--sizes must name at least one truncation size"),
          (("--sizes", "0,4"), "--sizes entries must be positive"),
-         (("--sizes", "4", "--rank-tol", "1.5"), "--rank-tol must lie in (0, 1)"),
          (("--sizes", "8,,16"), "bad --sizes value '8,,16': entry 2 is empty"),
          (("--sizes", ",8"), "bad --sizes value ',8': entry 1 is empty"),
          (("--sizes", "1_6"), "bad --sizes value '1_6': entry 1 is '1_6', not an ASCII decimal integer"),
          (("--sizes", "\u0663"),
           "bad --sizes value '\u0663': entry 1 is '\u0663', not an ASCII decimal integer")],
-        ids=["sizes-value", "sizes-empty", "sizes-non-positive", "rank-tol", "sizes-empty-entry",
+        ids=["sizes-value", "sizes-empty", "sizes-non-positive", "sizes-empty-entry",
              "sizes-leading-comma", "sizes-underscore", "sizes-arabic-indic-digit"],
     )
     def test_malformed_flag_value(self, two_cos_path, capsys, args, message):
@@ -607,6 +605,25 @@ class TestBoundaryInput:
         )
         assert code == 2 and peak_mb < 1.0
         assert "N=20000000: one Lanczos step needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [(("hsnorm", "--lambda-re", "0.5"), "powers"),
+         (("spectrum", "--lambda-re", "0.5"), "powers"),
+         (("verify", "--identity", "unitary", "--lambda-im", "1"), "powers"),
+         (("verify", "--identity", "wco-sum", "--lambda-re", "0.5"), "powers"),
+         (("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.5"), "powers"),
+         (("svd", "--lambda-re", "0.5"), "singular values"),
+         (("rank", "--lambda-re", "0.5"), "singular values")],
+        ids=["hsnorm", "spectrum", "verify-unitary", "verify-wco-sum", "verify-toeplitz-comp",
+             "svd", "rank"],
+    )
+    def test_a_size_that_cannot_be_allocated_is_two(self, analytic_path, capsys, args, what):
+        # N = 1e11 powers, or singular values with their zero padding, take 1.5 TB:
+        # charged where they are allocated, not left to numpy's MemoryError
+        assert run_cli(*args, "--symbol", analytic_path, "--sizes", "100000000000") == 2
+        assert capsys.readouterr() == ("", f"error: N=100000000000 {what} needs 1.53e+06 MB; "
+                                           "budget 1024 MB (LT_MEM_BUDGET_MB)\n")
 
     def test_wco_names_the_flag_and_the_index(self, two_cos_path, capsys):
         assert run_cli(

@@ -131,6 +131,16 @@ def test_svd_executes_only_spectral_and_verify_only_factorization(io_inputs, tmp
     assert _executed_by([verify]) == ([0], sorted([*loaded, "factorization"]))
 
 
+def test_spectrum_executes_factorization_and_not_spectral(tmp_path):
+    # the weighted-composition spectrum check sits beside W in factorization
+    symbol_path = tmp_path / "analytic.json"
+    write_symbol_file(FourierSymbol({0: 2.0, 1: 1.0, 3: -0.5j}), symbol_path)
+    spectrum = ["spectrum", "--symbol", str(symbol_path), "--lambda-re", "0.5", "--sizes", "8,16",
+                "--out", str(tmp_path / "spectrum.json")]
+    loaded = ["__init__", "cli", "factorization", "operator", "output", "symbol"]
+    assert _executed_by([spectrum]) == ([0], loaded)
+
+
 def _run_in_fresh_process(runs) -> str:
     """Exit codes of the argv lists, run in one new process, and whether
     scipy got loaded."""

@@ -1,12 +1,17 @@
 """README's examples, each run as written in its own process: the library
-quickstart, and every ``ltoep`` line through ``python -m ltoeplitz``."""
+quickstart, and every ``ltoep`` line through ``python -m ltoeplitz``; and
+README's flag table against the parser."""
 
+import argparse
+import itertools
 import os
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from ltoeplitz.cli import build_arg_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -55,3 +60,32 @@ def test_readme_cli_lines_run(tmp_path):
             assert re.fullmatch(r"[A-Za-z_]+(,[A-Za-z_]+)+", header), (line, header)
     # both blocks were found: the CLI examples, with their one exit 1, and the experiments
     assert statuses.count(1) == 1 and len(statuses) > 10
+
+
+def test_readme_flag_table_matches_the_parser():
+    """Each row of the flag table lists exactly the option strings the parser
+    gives its subcommand, ``-h`` and ``--help`` aside: a cell that is not
+    blank documents its column's flags and any it names itself. Every flag a
+    column names is documented by some row, so a deleted flag leaves no
+    column behind."""
+    lines = README.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command |"))
+    table = [line.split("|")[1:-1]
+             for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    header, rows = table[0], table[2:]
+    (subparsers,) = (a for a in build_arg_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    mismatch, documented = {}, set()
+    for command, *cells in rows:
+        command = command.strip().strip("`")
+        table_flags = {flag for head, cell in zip(header[1:], cells) if cell.strip()
+                       for flag in re.findall(r"--[a-z-]+", head + cell)}
+        parser_flags = {flag for action in subparsers.choices[command]._actions
+                        for flag in action.option_strings} - {"-h", "--help"}
+        documented |= table_flags
+        if table_flags != parser_flags:
+            mismatch[command] = {"table only": table_flags - parser_flags,
+                                 "parser only": parser_flags - table_flags}
+    assert mismatch == {}
+    assert [row[0].strip().strip("`") for row in rows] == list(subparsers.choices)
+    assert set(re.findall(r"--[a-z-]+", "".join(header))) <= documented

@@ -30,7 +30,7 @@ from ltoeplitz import (
     truncate,
     wco_spectrum_check,
 )
-from ltoeplitz import spectral
+from ltoeplitz import factorization, spectral
 from ltoeplitz.operator import _TINY, _unit_scaled, _unscaled
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
@@ -671,7 +671,7 @@ class TestWcoSpectrum:
     @staticmethod
     def _patch_diagonal(monkeypatch, m, change):
         """Let the check read band 0 with its entry m replaced by change(entry)."""
-        bands = spectral._bands
+        bands = factorization._bands
 
         def patched(*args):
             for d, band in bands(*args):
@@ -680,7 +680,7 @@ class TestWcoSpectrum:
                     band[m] = change(band[m])
                 yield d, band
 
-        monkeypatch.setattr(spectral, "_bands", patched)
+        monkeypatch.setattr(factorization, "_bands", patched)
 
     def test_perturbed_diagonal_still_fails(self, monkeypatch):
         self._patch_diagonal(monkeypatch, 100, lambda entry: entry + 1e-12)
