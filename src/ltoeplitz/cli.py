@@ -70,27 +70,23 @@ SAWTOOTH_GROWTH_FACTOR = 1.5
 SUP_NORM_GRID = 4096
 
 
-class CliInputError(Exception):
-    pass
-
-
 def _parse_sizes(raw: str) -> tuple[int, ...]:
     """The comma-separated sizes: each entry ASCII digits, none empty."""
     parts = raw.split(",")
     if not "".join(parts):
-        raise CliInputError("--sizes must name at least one truncation size")
+        raise ValueError("--sizes must name at least one truncation size")
     for i, part in enumerate(parts, 1):
         if not (part.isascii() and part.isdigit()):
             what = f"{part!r}, not an ASCII decimal integer" if part else "empty"
-            raise CliInputError(f"bad --sizes value {raw!r}: entry {i} is {what}")
+            raise ValueError(f"bad --sizes value {raw!r}: entry {i} is {what}")
     try:
         sizes = tuple(map(int, parts))
     except ValueError as exc:  # int() refuses more than 4300 digits
-        raise CliInputError(f"bad --sizes value {raw!r}: {exc}") from exc
+        raise ValueError(f"bad --sizes value {raw!r}: {exc}") from exc
     if any(n < 1 for n in sizes):
-        raise CliInputError("--sizes entries must be positive")
+        raise ValueError("--sizes entries must be positive")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise CliInputError("--sizes must be strictly ascending")
+        raise ValueError("--sizes must be strictly ascending")
     return sizes
 
 
@@ -146,24 +142,24 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "grid_size", 1) < 1:
-        raise CliInputError("--grid-size must be at least 1")
+        raise ValueError("--grid-size must be at least 1")
     lam = getattr(args, "lam", 0.0)
     if not cmath.isfinite(lam):
-        raise CliInputError("--lambda-re and --lambda-im must be finite")
+        raise ValueError("--lambda-re and --lambda-im must be finite")
     operator._disc_point("lambda", lam)
 
 
 def _load_symbol(args: argparse.Namespace) -> symbol_mod.FourierSymbol:
     if not args.symbol_path:
-        raise CliInputError(f"command {args.command!r} needs --symbol <path>")
+        raise ValueError(f"command {args.command!r} needs --symbol <path>")
     try:
         return symbol_mod.read_symbol_file(args.symbol_path)
     except json.JSONDecodeError as exc:
-        raise CliInputError(
+        raise ValueError(
             f"{args.symbol_path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:
-        raise CliInputError(f"{args.symbol_path}: {exc}") from exc
+        raise ValueError(f"{args.symbol_path}: {exc}") from exc
 
 
 def _make_spec(args: argparse.Namespace) -> operator.LambdaToeplitzSpec:
@@ -172,7 +168,7 @@ def _make_spec(args: argparse.Namespace) -> operator.LambdaToeplitzSpec:
 
 def _single_size(args: argparse.Namespace) -> int:
     if len(args.sizes) != 1:
-        raise CliInputError(f"command {args.command!r} takes exactly one size")
+        raise ValueError(f"command {args.command!r} takes exactly one size")
     return args.sizes[0]
 
 
@@ -215,7 +211,7 @@ def _cmd_apply(args: argparse.Namespace) -> list:
     try:
         vec = read_vector_csv(args.vector_path)
     except (ValueError, OSError) as exc:
-        raise CliInputError(f"bad --vector file: {exc}") from exc
+        raise ValueError(f"bad --vector file: {exc}") from exc
     spec = _make_spec(args)
     if args.method == "naive":
         result = operator.apply_naive(operator.truncate(spec, vec.size), vec)
@@ -250,7 +246,7 @@ def _cmd_hsnorm(args: argparse.Namespace) -> list:
         try:
             w = factorization.WeightedCompositionSpec(spec.symbol, spec.lam)
         except ValueError as exc:
-            raise CliInputError(f"--wco: {exc}") from exc
+            raise ValueError(f"--wco: {exc}") from exc
         # kernel_hs_norm's circulant, fold and FFT
         operator._charge(16 * 3 * args.grid_size,
                          f"--grid-size {args.grid_size} (3 complex grids of {args.grid_size} points)")
@@ -305,10 +301,11 @@ def _cmd_rank(args: argparse.Namespace) -> list:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> list:
+    symbol = _load_symbol(args)
     try:
-        w = factorization.WeightedCompositionSpec(_load_symbol(args), args.lam)
+        w = factorization.WeightedCompositionSpec(symbol, args.lam)
     except ValueError as exc:
-        raise CliInputError(f"{args.symbol_path}: {exc}") from exc
+        raise ValueError(f"{args.symbol_path}: {exc}") from exc
     results = [factorization.wco_spectrum_check(w, n) for n in args.sizes]
     return _emit_verifications(args, results, results)
 
@@ -340,9 +337,9 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> list:
         try:
             forcing = read_matrix_csv(args.b_matrix_path)
         except (ValueError, OSError) as exc:
-            raise CliInputError(f"bad --b-matrix file: {exc}") from exc
+            raise ValueError(f"bad --b-matrix file: {exc}") from exc
         if forcing.shape != (size, size):
-            raise CliInputError(f"--b-matrix must be {size}x{size}, got {forcing.shape}")
+            raise ValueError(f"--b-matrix must be {size}x{size}, got {forcing.shape}")
     else:
         # the truncation it is compared with comes first: a size over the
         # memory budget is refused before the solve allocates anything. The
@@ -406,8 +403,7 @@ def run(args: argparse.Namespace) -> int:
         # overflow warnings on the way there would only be noise on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             gated = _HANDLERS[args.command](args)
-    # the tuple is built only once an exception arrives: spectral stays unloaded otherwise
-    except (CliInputError, ValueError, OSError, spectral.SpectralDecompositionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK if all(r.passed for r in gated) else EXIT_VERIFY_FAILED
@@ -416,7 +412,7 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-    except CliInputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run(args)

@@ -382,9 +382,9 @@ def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     the conjugate FFTs and scalings swapped. The kernel FFTs are taken here,
     once, so a product costs two FFTs of length L per term.
 
-    ``charge``, if given, is called with the bytes the products hold at
-    once, the last product they returned included, before any array of
-    length N is allocated.
+    The bytes the products hold at once, the last product they returned
+    included, are charged before any array of length N is allocated: passed
+    to ``charge`` if given, else charged as ``N=<N> FFT products``.
     """
     n = _checked_size(size)
     bands = [(d, a) for d, a in spec.symbol.items() if -n < d < n]
@@ -398,13 +398,16 @@ def prepare(spec: LambdaToeplitzSpec, size: int, charge=None):
     else:
         groups = [(index[plus], value[plus], True), (index[~plus], value[~plus], False)]
     groups = [group for group in groups if group[0].size]
-    if charge is not None:
-        # t terms, L <= next_fast_len(N + K), S <= N: each kernel FFT and its
-        # conjugate, two transforms in flight, 2t + 2 of length L; D, conj(D),
-        # the last product returned, A x, a scaled input and for t = 2 the
-        # sum being formed, 4 + t of length N, one a view into one of L.
-        t = len(groups)
-        charge(16 * ((3 + t) * n + (3 + 2 * t) * _next_fast_len(n + k)))
+    # t terms, L <= next_fast_len(N + K), S <= N: each kernel FFT and its
+    # conjugate, two transforms in flight, 2t + 2 of length L; D, conj(D),
+    # the last product returned, A x, a scaled input and for t = 2 the
+    # sum being formed, 4 + t of length N, one a view into one of L.
+    t = len(groups)
+    products = 16 * ((3 + t) * n + (3 + 2 * t) * _next_fast_len(n + k))
+    if charge is None:
+        _charge(products, f"N={n} FFT products")
+    else:
+        charge(products)
     if unimodular:
         value[plus] *= powers(1 / spec.lam, k + 1)[index[plus]]  # psi, in the one group's array
     pows = powers(spec.lam, n)

@@ -52,11 +52,11 @@ from .operator import (
     TruncatedOperator,
     VerificationResult,
     _Record,
-    _bands,
     _charge,
     _checked_size,
     _unit_scaled,
     _unscaled,
+    powers,
     prepare,
     truncate,
 )
@@ -100,8 +100,8 @@ _STEP_OVERHEAD = 2**14
 _EPS = float(np.finfo(float).eps)
 
 
-class SpectralDecompositionError(RuntimeError):
-    """SVD failure, carrying the truncation size for diagnostics."""
+class SpectralDecompositionError(ValueError):
+    """A decomposition that did not finish at truncation size ``size``."""
 
     def __init__(self, size: int, message: str):
         super().__init__(message)
@@ -254,26 +254,29 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     )
 
 
-def _report(sing: np.ndarray, frob: float, lam: complex, rank_tol: float) -> SpectralReport:
+def _numerical_rank(sing: np.ndarray, rank_tol: float) -> int:
+    """How many of ``sing`` (descending) exceed ``rank_tol * sigma_1``."""
+    return int(np.count_nonzero(sing > rank_tol * sing[0]))
+
+
+def _report(sing: np.ndarray, frob: float, lam: complex) -> SpectralReport:
     """The report of a truncation with singular values ``sing`` (descending)."""
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError("rank_tol must lie in (0, 1)")
     top = float(sing[0])
-    ms = np.arange(sing.size // 2)
+    margins = abs(complex(lam)) ** np.arange(sing.size // 2)  # |lambda|^m, m < N/2
+    margins *= top
+    margins -= sing[:-1:2]  # sigma_{2m+1}, in place: no array of N/2 more
     return SpectralReport(
         size=sing.size,
         singular_values=sing,
         operator_norm=top,
         frobenius_norm=frob,
         trace_norm=float(np.sum(sing)),
-        numerical_rank=int(np.count_nonzero(sing > rank_tol * top)) if top > 0.0 else 0,
-        decay_margins=(abs(complex(lam)) ** ms) * top - sing[2 * ms],
+        numerical_rank=_numerical_rank(sing, DEFAULT_RANK_TOL),
+        decay_margins=margins,
     )
 
 
-def analyze(
-    op: TruncatedOperator, lam: complex, rank_tol: float = DEFAULT_RANK_TOL
-) -> SpectralReport:
+def analyze(op: TruncatedOperator, lam: complex) -> SpectralReport:
     """Every singular value of any matrix, with norms, numerical rank and
     decay margins: the dense oracle of ``svd_study``.
 
@@ -286,7 +289,7 @@ def analyze(
     e = _unit_exponent(float(sing[0]))
     scaled = op.entries * math.ldexp(1.0, e // 2)
     scaled *= math.ldexp(1.0, e - e // 2)
-    return _report(sing, _unscaled(float(np.linalg.norm(scaled)), e), lam, rank_tol)
+    return _report(sing, _unscaled(float(np.linalg.norm(scaled)), e), lam)
 
 
 def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
@@ -333,16 +336,24 @@ def _core(spec: LambdaToeplitzSpec, size: int) -> np.ndarray:
 
 def frobenius_norm(spec: LambdaToeplitzSpec, size: int) -> float:
     """Frobenius norm of the N x N truncation, summed band by band in O(N)
-    memory from scaled coefficients, independent of any SVD and closed form."""
+    memory from scaled coefficients, independent of any SVD and closed form.
+
+    It holds the N powers of lambda and one band at a time: 32 N bytes,
+    charged before the first band is made.
+    """
     n = _checked_size(size)
-    scaled, e = _unit_scaled(spec.symbol, n)
-    total = math.fsum(np.vdot(band, band).real for _, band in _bands(scaled, n, spec.lam))
-    return _unscaled(math.sqrt(total), e)
+    scaled, e = _unit_scaled(spec.symbol, n)  # the bands |d| < N
+    pows = powers(spec.lam, n)
+    _charge(16 * 2 * n, f"N={n} Frobenius norm")
+    squares = []
+    for d, a in scaled.items():
+        band = a * pows[: n - abs(d)]
+        squares.append(np.vdot(band, band).real)
+        del band  # freed before the next band is made
+    return _unscaled(math.sqrt(math.fsum(squares)), e)
 
 
-def svd_study(
-    spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
-) -> list[SpectralReport]:
+def svd_study(spec: LambdaToeplitzSpec, sizes) -> list[SpectralReport]:
     """One ``SpectralReport`` per size N, with ``frobenius_norm``: the
     singular values of ``_core``, then exact zeros up to N.
 
@@ -355,10 +366,14 @@ def svd_study(
         previous, core = core, _core(spec, n)
         if previous is None or not np.array_equal(previous, core):
             core_sing = _svdvals(core, n)
-        # the zero padding and the values joined to it, 8 bytes each
+        # 16 N bytes: the zero padding and the values joined to it, 8 bytes
+        # each; then the values beside the report's N/2 margins and the N/2
+        # indices they are made from. The Frobenius norm is taken first, and
+        # nothing of it is held beside them.
         _charge(16 * n, f"N={n} singular values")
+        frob = frobenius_norm(spec, n)
         sing = np.concatenate([core_sing, np.zeros(n - min(core.shape))])
-        reports.append(_report(sing, frobenius_norm(spec, n), spec.lam, rank_tol))
+        reports.append(_report(sing, frob, spec.lam))
     return reports
 
 
@@ -424,4 +439,6 @@ def finite_rank_study(
     spec: LambdaToeplitzSpec, sizes, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[tuple[int, int]]:
     """Numerical rank of each truncation size, from ``svd_study``."""
-    return [(r.size, r.numerical_rank) for r in svd_study(spec, sizes, rank_tol)]
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError("rank_tol must lie in (0, 1)")
+    return [(r.size, _numerical_rank(r.singular_values, rank_tol)) for r in svd_study(spec, sizes)]

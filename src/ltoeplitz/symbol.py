@@ -33,9 +33,9 @@ _JSON_NUMBERS = (int, float)  # the types json.load gives a number; bool is not 
 _FLOAT_MAX = sys.float_info.max  # a larger int, like inf and nan, is no finite float
 
 
-def is_unimodular(value: complex, tol: float = UNIT_CIRCLE_TOL) -> bool:
-    """True when ``|value| == 1`` up to floating-point slack."""
-    return abs(abs(complex(value)) - 1.0) <= tol
+def is_unimodular(value: complex) -> bool:
+    """True when ``|value|`` lies within ``UNIT_CIRCLE_TOL`` of 1."""
+    return abs(abs(complex(value)) - 1.0) <= UNIT_CIRCLE_TOL
 
 
 def _unit_exponent(top: float) -> int:

@@ -195,6 +195,8 @@ class TestExitStatusContract:
     "args, what, budget",
     [(("build", "--sizes", "40"), "N=40 dense truncation", "0.01"),
      (("apply", "--method", "naive", "--vector", "x40.csv"), "N=40 dense truncation", "0.01"),
+     # 4 vectors of length 40 and 5 of the FFT length 44
+     (("apply", "--vector", "x40.csv"), "N=40 FFT products", "0.001"),
      (("solve-recurrence", "--sizes", "40"), "N=40 dense truncation", "0.01"),
      (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 recurrence solution",
       "0.01"),
@@ -206,9 +208,11 @@ class TestExitStatusContract:
      (("norms", "--lambda-re", "1", "--sizes", "1024"), "N=1024: one Lanczos step", "0.15"),
      (("sawtooth-demo", "--sizes", "8,40"), "N=8: one Lanczos step", "0.01"),
      (("hsnorm", "--wco", "--lambda-re", "0.5", "--sizes", "40"),
-      "--grid-size 1024 (3 complex grids of 1024 points)", "0.01")],
-    ids=["build", "apply-naive", "solve-recurrence", "solve-recurrence-b-matrix", "svd", "rank",
-         "norms-grid", "norms-lanczos", "sawtooth-demo", "hsnorm-wco"],
+      "--grid-size 1024 (3 complex grids of 1024 points)", "0.01"),
+     # the powers and one band
+     (("hsnorm", "--lambda-re", "0.5", "--sizes", "40"), "N=40 Frobenius norm", "0.001")],
+    ids=["build", "apply-naive", "apply-fast", "solve-recurrence", "solve-recurrence-b-matrix",
+         "svd", "rank", "norms-grid", "norms-lanczos", "sawtooth-demo", "hsnorm-wco", "hsnorm"],
 )
 def test_every_refusal_is_one_message(tmp_path, monkeypatch, capsys, args, what, budget):
     # every charge against the budget names what it refuses and its size

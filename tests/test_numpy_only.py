@@ -107,8 +107,10 @@ def io_inputs(tmp_path):
 
 
 def test_dense_io_commands_execute_neither_spectral_nor_factorization(io_inputs, tmp_path):
+    # an input error exits 2 without loading either module to name its type
     common, vector_path = io_inputs
     forcing = tmp_path / "b.csv"
+    missing = tmp_path / "missing"
     runs = [
         ["build", *common, "--sizes", "16", "--out", str(tmp_path / "t.json")],
         ["build", *common, "--sizes", "16", "--format", "csv", "--out", str(forcing)],
@@ -116,8 +118,11 @@ def test_dense_io_commands_execute_neither_spectral_nor_factorization(io_inputs,
         ["solve-recurrence", *common, "--sizes", "16", "--out", str(tmp_path / "s.json")],
         ["solve-recurrence", *common, "--sizes", "16", "--b-matrix", str(forcing),
          "--format", "csv", "--out", str(tmp_path / "s.csv")],
+        ["build", "--symbol", str(missing), "--sizes", "16"],
+        ["apply", *common, "--vector", str(missing)],
     ]
-    assert _executed_by(runs) == ([0] * 5, ["__init__", "cli", "operator", "output", "symbol"])
+    assert _executed_by(runs) == (
+        [0] * 5 + [2] * 2, ["__init__", "cli", "operator", "output", "symbol"])
 
 
 def test_svd_executes_only_spectral_and_verify_only_factorization(io_inputs, tmp_path):

@@ -86,6 +86,20 @@ def test_every_public_function_has_a_caller():
     assert uncalled == []
 
 
+def test_only_three_parameters_have_a_default():
+    """No listed function takes a setting that only repeats its default: the
+    two thresholds the acceptance suite passes and ``prepare``'s optional
+    charge callback are the only parameters with a default."""
+    defaulted = sorted(
+        f"{name}.{param.name}"
+        for m in LISTED for name in m.__all__ if inspect.isfunction(getattr(m, name))
+        for param in inspect.signature(getattr(m, name)).parameters.values()
+        if param.default is not param.empty
+    )
+    assert defaulted == [
+        "finite_rank_study.rank_tol", "prepare.charge", "trace_norm_bound_check.slack"]
+
+
 def test_only_charge_reads_the_budget():
     """``operator._charge`` is the one check against ``LT_MEM_BUDGET_MB``: no
     other code calls ``resolve_budget_mb`` or makes a ``MemoryBudgetExceeded``

@@ -30,7 +30,7 @@ from ltoeplitz import (
     truncate,
     wco_spectrum_check,
 )
-from ltoeplitz import factorization, spectral
+from ltoeplitz import factorization, operator, spectral
 from ltoeplitz.operator import _TINY, _unit_scaled, _unscaled
 from ltoeplitz.spectral import DEFAULT_RANK_TOL, SpectralDecompositionError
 
@@ -77,10 +77,10 @@ class TestAnalyze:
         assert analyze(truncate(spec, 64), spec.lam).decay_margins.size == 32
 
     def test_rank_tol_validated(self):
-        op = truncate(_spec(0.5, {0: 1.0}), 4)
+        spec = _spec(0.5, {0: 1.0})
         for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                analyze(op, 0.5, rank_tol=bad)
+            with pytest.raises(ValueError, match=r"^rank_tol must lie in \(0, 1\)$"):
+                finite_rank_study(spec, (4,), rank_tol=bad)
 
     def test_nonfinite_entries_rejected(self):
         op = truncate(_spec(0.5, {0: 1.0}), 4)
@@ -91,6 +91,8 @@ class TestAnalyze:
     def test_decomposition_error_carries_size(self):
         err = SpectralDecompositionError(7, "no convergence")
         assert err.size == 7
+        # one fault type with numpy's LinAlgError: the CLI exits 2 on a ValueError
+        assert isinstance(err, ValueError) and issubclass(np.linalg.LinAlgError, ValueError)
 
 
 def _svd_spy(monkeypatch):
@@ -260,6 +262,27 @@ class TestCompressedAnalyze:
                    r"budget 4 MB \(LT_MEM_BUDGET_MB\)$")
         with pytest.raises(MemoryBudgetExceeded, match=message):
             svd_study(spec, [4096])
+
+    @pytest.mark.parametrize("study", ["frobenius_norm", "svd_study"])
+    def test_traced_peak_past_the_core_stays_within_the_charges(self, monkeypatch, study):
+        # Past its core a size N holds arrays of length N only: the powers and
+        # one band for the Frobenius norm, then the singular values with the
+        # margins. The largest charge covers the traced peak, up to the core
+        # and the symbol, which do not grow with N.
+        spec = _spec(0.5, {d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)})
+        n = 2**20
+        charges = []
+
+        def charge(nbytes, what, charge=operator._charge):
+            charges.append(nbytes)
+            return charge(nbytes, what)
+
+        monkeypatch.setattr(operator, "_charge", charge)
+        monkeypatch.setattr(spectral, "_charge", charge)
+        sizes = n if study == "frobenius_norm" else [n]
+        _, peak_mb = peak_traced_mb(getattr(spectral, study), spec, sizes)
+        assert max(charges) == 32 * n
+        assert peak_mb * 2**20 <= max(charges) + 2**17
 
 
 @given(
@@ -620,7 +643,7 @@ class TestTraceNormBound:
         # majorant of 5e-12, 200 times over, at every scale
         for scale in (1.0, 1e12):
             sing = np.full(1000, 1e-12 * scale)
-            report = spectral._report(sing, math.sqrt(1000) * 1e-12 * scale, 0.5, DEFAULT_RANK_TOL)
+            report = spectral._report(sing, math.sqrt(1000) * 1e-12 * scale, 0.5)
             result = trace_norm_bound_check(report, 0.5)
             assert not result.passed
             assert result.tolerance == spectral.TRACE_BOUND_SLACK * sing[0]
