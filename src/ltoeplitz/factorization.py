@@ -21,6 +21,7 @@ from .operator import (
     _Record,
     _TINY,
     _bands,
+    _charge,
     _checked_size,
     _disc_point,
     _unit_scaled,
@@ -101,23 +102,34 @@ def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationRes
     below the normal range are left out of that test: there ``powers`` gives
     0.0 and a small weight(0) rounds to a few subnormals, and equal points
     say nothing about the truncation.
+
+    It holds at most three complex arrays of N, the powers, the diagonal and
+    the predicted points, 48 N bytes, charged first as ``N=<N> wco-spectrum
+    check``.
     """
     n = _checked_size(size)
+    _charge(16 * 3 * n, f"N={n} wco-spectrum check")
+    pows = powers(w.multiplier, n)
     # band 0 of W, the first band of an analytic weight if stored, else zeros
-    first = next(_bands(w.weight, n, w.multiplier), (None, None))
+    first = next(_bands(w.weight, pows), (None, None))
     diag = first[1] if first[0] == 0 else np.zeros(n, dtype=complex)
+    del first
     psi0 = w.weight.coefficient(0)
-    predicted = powers(w.multiplier, n) * psi0
+    # into a new array: an in-place complex product can round differently
+    predicted = pows * psi0
+    del pows
+    error = np.abs(np.subtract(diag, predicted, out=diag))
+    del diag
     magnitude = np.abs(predicted)
     normal = magnitude >= _TINY
-    error = np.abs(diag - predicted)
-    error[normal] /= magnitude[normal]
-    residual = float(np.max(error))
+    residual = float(np.max(np.divide(error, magnitude, out=error, where=normal)))
+    del error, magnitude
     ok = residual <= _SPECTRUM_TOL
     mod = abs(w.multiplier)
     if psi0 != 0 and 0.0 < mod < 1.0:
         points = predicted[normal]
-        ok = ok and len(set(points.tolist())) == points.size
+        points.sort()  # equal points end up next to each other
+        ok = ok and not np.any(points[1:] == points[:-1])
     return VerificationResult("wco-spectrum", n, residual, _SPECTRUM_TOL, ok)
 
 
@@ -130,24 +142,49 @@ def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationRes
 # and the residual is the same float as the dense max.
 
 
+def _charge_bands(n: int, identity: str, products: bool) -> None:
+    """Charge what a band-wise check of N x N matrices holds at once: two
+    arrays of N powers and one band of each side, 64 N bytes, beside the
+    moduli of their difference, 8 N; or, where each right band is a product
+    made from another band, beside that band while it is made, 16 N."""
+    _charge((80 if products else 72) * n, f"N={n} {identity} check")
+
+
+def _rebanded(bands, change):
+    """``(d, change(d, band))`` for each ``(d, band)`` of a stream; each band
+    is let go once its change is made, and that before the next band is."""
+    for d, band in bands:
+        band = change(d, band)
+        yield d, band
+        del band
+
+
 def _band_residual(lhs, rhs) -> float:
     """max |L - R| over two N x N matrices given as ``(d, band)`` streams in ascending d.
 
     A band that only one side stores is compared with zeros, and every entry
     off both is zero on both sides, so a NaN anywhere gives NaN, as a dense
-    max would, and two empty streams give 0.0.
+    max would, and two empty streams give 0.0. A left band is overwritten by
+    the difference, and each band is let go before its stream makes the next.
     """
     peaks = [0.0]
     left, right = next(lhs, None), next(rhs, None)
     while left is not None or right is not None:
-        if right is None or (left is not None and left[0] < right[0]):
-            diff, left = left[1], next(lhs, None)
-        elif left is None or right[0] < left[0]:
-            diff, right = right[1], next(rhs, None)
+        d = min(side[0] for side in (left, right) if side is not None)
+        on_left = left is not None and left[0] == d
+        on_right = right is not None and right[0] == d
+        if on_left and on_right:
+            diff = np.subtract(left[1], right[1], out=left[1])
         else:
-            diff = left[1] - right[1]
-            left, right = next(lhs, None), next(rhs, None)
+            diff = (left if on_left else right)[1]
         peaks.append(np.max(np.abs(diff)))
+        del diff
+        if on_left:
+            del left
+            left = next(lhs, None)
+        if on_right:
+            del right
+            right = next(rhs, None)
     return float(np.max(peaks))
 
 
@@ -167,12 +204,14 @@ def verify_unitary_factorization(spec: LambdaToeplitzSpec, size: int) -> Verific
     if not is_unimodular(spec.lam):
         raise ValueError("unitary factorization requires |lambda| = 1")
     n = _checked_size(size)
+    _charge_bands(n, "unitary", products=True)
     symbol, exponent = _unit_scaled(spec.symbol, n)
     pows, twisted = powers(spec.lam, n), symbol.twist_plus(spec.lam)
-    # row i scaled by lambda^i, powers on the left: swapped complex products
-    # round differently
-    rhs = ((d, pows[max(d, 0) :][: band.size] * band) for d, band in _bands(twisted, n, 1.0))
-    residual = _band_residual(_bands(symbol, n, spec.lam), rhs)
+    # row i scaled by lambda^i, powers on the left, into a new array: swapped
+    # or in-place complex products can round differently
+    rhs = _rebanded(_bands(twisted, powers(1.0, n)),
+                    lambda d, band: pows[max(d, 0) :][: band.size] * band)
+    residual = _band_residual(_bands(symbol, pows), rhs)
     return _scaled_result("unitary", n, residual, DEFAULT_UNITARY_TOL, exponent)
 
 
@@ -189,12 +228,14 @@ def verify_wco_sum(spec: LambdaToeplitzSpec, size: int) -> VerificationResult:
     (lambda, phi(1/z)), and that of W^* is conj(W).
     """
     n = _checked_size(size)
+    _charge_bands(n, "wco-sum", products=False)
     lam = spec.lam
     symbol, exponent = _unit_scaled(spec.symbol, n)
     minus = symbol.coanalytic_part()
     residual = _band_residual(
-        _bands(FourierSymbol({-d: a for d, a in minus.items()}), n, lam),
-        ((k, band.conj()) for k, band in _bands(minus.conjugate(), n, lam.conjugate())),
+        _bands(FourierSymbol({-d: a for d, a in minus.items()}), powers(lam, n)),
+        _rebanded(_bands(minus.conjugate(), powers(lam.conjugate(), n)),
+                  lambda d, band: np.conjugate(band, out=band)),
     )
     return _scaled_result("wco-sum", n, residual, DEFAULT_WCO_SUM_TOL, exponent)
 
@@ -235,15 +276,17 @@ def verify_toeplitz_comp_factorization(
     if lam.imag != 0.0 or not 0.0 < lam.real < 1.0:
         raise ValueError("toeplitz-comp factorization needs real lambda in (0, 1)")
     n = _checked_size(size)
+    _charge_bands(n, "toeplitz-comp", products=True)
     symbol, exponent = _unit_scaled(spec.symbol, n)
-    pows = powers(lam, n)
+    pows, ones = powers(lam, n), powers(1.0, n)
 
     results = []
     for variant, exponent_sign in (("as-stated", -1), ("corrected", +1)):
         tilde = _tilde_symbol(symbol, lam, exponent_sign, variant)
-        # column j scaled by lambda^j, on the right
-        rhs = ((d, band * pows[max(-d, 0) :][: band.size]) for d, band in _bands(tilde, n, 1.0))
-        residual = _band_residual(_bands(symbol, n, lam), rhs)
+        # column j scaled by lambda^j, on the right, into a new array
+        rhs = _rebanded(_bands(tilde, ones),
+                        lambda d, band: band * pows[max(-d, 0) :][: band.size])
+        residual = _band_residual(_bands(symbol, pows), rhs)
         results.append(_scaled_result("toeplitz-comp", n, residual, DEFAULT_TOEPLITZ_COMP_TOL,
                                       exponent, variant))
     return tuple(results)

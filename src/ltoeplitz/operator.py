@@ -198,7 +198,7 @@ def entry(spec: LambdaToeplitzSpec, n: int, m: int) -> complex:
 
 
 def resolve_budget_mb() -> float:
-    """``LT_MEM_BUDGET_MB``, else the default."""
+    """``LT_MEM_BUDGET_MB``, else the default; 0 refuses every allocation."""
     raw = os.environ.get(MEM_BUDGET_ENV)
     if raw is None:
         return DEFAULT_MEM_BUDGET_MB
@@ -208,6 +208,8 @@ def resolve_budget_mb() -> float:
         budget = math.nan
     if not math.isfinite(budget):
         raise ValueError(f"{MEM_BUDGET_ENV}={raw!r} is not a finite number of megabytes")
+    if budget < 0:
+        raise ValueError(f"{MEM_BUDGET_ENV}={raw!r} is negative: a budget is at least 0 megabytes")
     return budget
 
 
@@ -230,17 +232,17 @@ def _checked_size(size: int) -> int:
     return n
 
 
-def _bands(symbol: FourierSymbol, size: int, base: complex):
-    """``(d, a_d * base^k for k < N - |d|)`` for each stored band |d| < N, ascending d.
+def _bands(symbol: FourierSymbol, pows: np.ndarray):
+    """``(d, a_d * pows[k] for k < N - |d|)`` for each stored band |d| < N, ascending d.
 
-    The bands of the N x N matrix with entry (i, j) = base^min(i, j) * a_{i-j}:
-    band d holds the entries i - j = d, starting at (max(d, 0), max(-d, 0)),
-    and min(i, j) = k at its k-th entry. Every entry off the stored bands is
-    an exact zero, so a law between two such matrices can be checked band by
-    band in O(N) memory.
+    With the N ``powers`` of a base, the bands of the N x N matrix with entry
+    (i, j) = base^min(i, j) * a_{i-j}: band d holds the entries i - j = d,
+    starting at (max(d, 0), max(-d, 0)), and min(i, j) = k at its k-th
+    entry. Every entry off the stored bands is an exact zero, so a law
+    between two such matrices can be checked band by band in O(N) memory.
+    Each band is a new array, which nothing here holds once it is yielded.
     """
-    n = int(size)
-    pows = powers(base, n)
+    n = pows.size
     for d, a in symbol.items():
         if -n < d < n:
             yield d, a * pows[: n - abs(d)]
@@ -283,7 +285,7 @@ def truncate(spec: LambdaToeplitzSpec, size: int) -> TruncatedOperator:
     entries = np.zeros((n, n), dtype=complex)
     flat = entries.reshape(-1)
     # band d starts at flat index d*N (d >= 0) or -d (d < 0), stride N + 1
-    for d, band in _bands(spec.symbol, n, spec.lam):
+    for d, band in _bands(spec.symbol, powers(spec.lam, n)):
         flat[d * n if d >= 0 else -d :: n + 1][: band.size] = band
     return TruncatedOperator(n, entries, f"truncate({spec.describe()}) N={n}")
 

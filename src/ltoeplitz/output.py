@@ -172,14 +172,20 @@ def csv_text(header: str, rows: Iterable[Sequence]) -> str:
 
 
 def _read_csv_table(path, columns: tuple[str, ...], what: str) -> np.ndarray:
-    """Rows of a numeric CSV with the given columns; every field must be finite."""
+    """Rows of a numeric CSV headed by exactly the given columns, in order;
+    every field must be finite."""
     with warnings.catch_warnings():  # an empty table gets its own error below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no {what} entries")
+    # read apart: loadtxt reads a path faster than an open file
+    header = ",".join(columns)
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != header:
+            raise ValueError(f"{path}: expected columns {header}")
     if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: expected columns {','.join(columns)}")
+        raise ValueError(f"{path}: expected columns {header}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]

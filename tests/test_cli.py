@@ -452,6 +452,20 @@ class TestBoundaryInput:
         assert run_cli("build", "--symbol", two_cos_path, "--sizes", "4") == 2
         assert "LT_MEM_BUDGET_MB='abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-5", "-1e-300"])
+    def test_negative_memory_budget(self, two_cos_path, monkeypatch, capsys, raw):
+        # refused as input, not read as a budget that every allocation exceeds
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", raw)
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "2") == 2
+        assert capsys.readouterr().err == (
+            f"error: LT_MEM_BUDGET_MB={raw!r} is negative: a budget is at least 0 megabytes\n")
+
+    def test_zero_memory_budget_refuses_every_allocation(self, two_cos_path, monkeypatch, capsys):
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "0")
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "1") == 2
+        assert capsys.readouterr().err == (
+            "error: N=1 dense truncation needs 1.53e-05 MB; budget 0 MB (LT_MEM_BUDGET_MB)\n")
+
     @pytest.mark.parametrize("flag, value", [("--lambda-re", "nan")])
     def test_non_finite_flag(self, two_cos_path, capsys, flag, value):
         assert run_cli(
@@ -612,21 +626,23 @@ class TestBoundaryInput:
 
     @pytest.mark.parametrize(
         "args, what",
-        [(("hsnorm", "--lambda-re", "0.5"), "powers"),
-         (("spectrum", "--lambda-re", "0.5"), "powers"),
-         (("verify", "--identity", "unitary", "--lambda-im", "1"), "powers"),
-         (("verify", "--identity", "wco-sum", "--lambda-re", "0.5"), "powers"),
-         (("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.5"), "powers"),
-         (("svd", "--lambda-re", "0.5"), "singular values"),
-         (("rank", "--lambda-re", "0.5"), "singular values")],
+        [(("hsnorm", "--lambda-re", "0.5"), "powers needs 1.53e+06"),
+         (("spectrum", "--lambda-re", "0.5"), "wco-spectrum check needs 4.58e+06"),
+         (("verify", "--identity", "unitary", "--lambda-im", "1"), "unitary check needs 7.63e+06"),
+         (("verify", "--identity", "wco-sum", "--lambda-re", "0.5"), "wco-sum check needs 6.87e+06"),
+         (("verify", "--identity", "toeplitz-comp", "--lambda-re", "0.5"),
+          "toeplitz-comp check needs 7.63e+06"),
+         (("svd", "--lambda-re", "0.5"), "singular values needs 1.53e+06"),
+         (("rank", "--lambda-re", "0.5"), "singular values needs 1.53e+06")],
         ids=["hsnorm", "spectrum", "verify-unitary", "verify-wco-sum", "verify-toeplitz-comp",
              "svd", "rank"],
     )
     def test_a_size_that_cannot_be_allocated_is_two(self, analytic_path, capsys, args, what):
-        # N = 1e11 powers, or singular values with their zero padding, take 1.5 TB:
-        # charged where they are allocated, not left to numpy's MemoryError
+        # N = 1e11 powers, or singular values with their zero padding, take 1.5 TB,
+        # and a band-wise check 2.5 to 5 times that: charged before they are
+        # allocated, not left to numpy's MemoryError
         assert run_cli(*args, "--symbol", analytic_path, "--sizes", "100000000000") == 2
-        assert capsys.readouterr() == ("", f"error: N=100000000000 {what} needs 1.53e+06 MB; "
+        assert capsys.readouterr() == ("", f"error: N=100000000000 {what} MB; "
                                            "budget 1024 MB (LT_MEM_BUDGET_MB)\n")
 
     def test_wco_names_the_flag_and_the_index(self, two_cos_path, capsys):
@@ -1336,9 +1352,58 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
+# Runs ``python -m ltoeplitz`` as runpy does. On entering cli.main it prints
+# to stderr whether the CLI was imported before __main__.run was entered, the
+# collections since then, and the collector's state.
+PAUSED_START_PROBE = """
+import gc, json, os, runpy, sys
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(1))
+
+def profile(frame, event, arg):
+    global at_run
+    if event != "call":
+        return
+    where = (frame.f_code.co_name, os.path.basename(frame.f_code.co_filename))
+    if where == ("run", "__main__.py"):
+        at_run = "ltoeplitz.cli" in sys.modules, len(collections)
+    elif where == ("main", "cli.py"):
+        sys.setprofile(None)
+        print(json.dumps([at_run[0], len(collections) - at_run[1], gc.isenabled(),
+                          gc.get_freeze_count() > 0]), file=sys.stderr)
+
+sys.setprofile(profile)
+sys.argv = ["ltoep", *sys.argv[1:]]
+runpy.run_module("ltoeplitz", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestEntryPoint:
-    """``python -m ltoeplitz`` and ``ltoep`` freeze the import heap and end
-    without interpreter teardown; ``cli.main`` does neither."""
+    """``python -m ltoeplitz`` and ``ltoep`` import the CLI with the collector
+    paused, freeze the import heap, collect again while ``cli.main`` runs and
+    end without interpreter teardown; ``cli.main`` does none of it."""
+
+    def test_import_runs_with_the_collector_paused(self, tmp_path):
+        write_symbol_file(FourierSymbol({0: 1.0, 1: 0.5}), tmp_path / "sym.json")
+        status, stdout, stderr = _fresh(
+            ["-c", PAUSED_START_PROBE, "build", "--symbol", "sym.json", "--sizes", "3",
+             "--out", "b.json"], [], tmp_path)
+        assert (status, stdout) == (0, b"built N=3, max|entry| = 1\n")
+        # the CLI imported inside run, with no collection from there to main;
+        # collection on in main, and the import heap frozen
+        assert json.loads(stderr) == [False, 0, True, True]
+
+    def test_import_leaves_the_collector_alone(self, monkeypatch):
+        import importlib
+
+        monkeypatch.delitem(sys.modules, "ltoeplitz.__main__", raising=False)
+        before = gc.isenabled(), gc.get_freeze_count()
+        importlib.import_module("ltoeplitz.__main__")
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        code = "import sys, ltoeplitz.__main__; print('numpy' in sys.modules)"
+        assert _fresh(["-c", code], [], tmp_path) == (0, b"False\n", b"")
 
     def test_main_leaves_the_collector_alone(self, two_cos_path, tmp_path):
         before = gc.get_freeze_count()

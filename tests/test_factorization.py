@@ -22,11 +22,13 @@ from ltoeplitz import (
     wco_hs_norm_closed_form,
     wco_spectrum_check,
 )
+from ltoeplitz import factorization, operator
 from ltoeplitz.factorization import _band_residual
 from ltoeplitz.operator import _unit_scaled, _unscaled
 
 from conftest import (
     disc_lambdas,
+    peak_traced_mb,
     random_spec,
     random_symbol,
     symbols,
@@ -398,6 +400,37 @@ def test_band_residual_compares_a_right_only_band_with_zeros():
     rhs = iter([(-1, np.array([0.0, -3.0])), (0, np.array([1.5, 1.0]))])
     assert _band_residual(lhs, rhs) == 3.0
     assert math.isnan(_band_residual(iter([]), iter([(1, np.array([np.nan]))])))
+
+
+_TWO_SIDED = FourierSymbol({d: 1.0 / (1 + abs(d)) + 0.5j * (d % 3) for d in range(-5, 6)})
+_ANALYTIC = FourierSymbol({d: 1.0 / (1 + d) + 0.5j * (d % 3) for d in range(6)})
+
+
+@pytest.mark.parametrize(
+    "check, per_n",
+    [
+        (lambda n: verify_unitary_factorization(LambdaToeplitzSpec(1j, _TWO_SIDED), n), 80),
+        (lambda n: verify_wco_sum(LambdaToeplitzSpec(0.5, _TWO_SIDED), n), 72),
+        (lambda n: verify_toeplitz_comp_factorization(LambdaToeplitzSpec(0.5, _ANALYTIC), n), 80),
+        # every predicted point is normal, so all N take part in the distinctness test
+        (lambda n: wco_spectrum_check(WeightedCompositionSpec(_ANALYTIC, 0.9999), n), 48),
+    ],
+    ids=["unitary", "wco-sum", "toeplitz-comp", "wco-spectrum"],
+)
+def test_traced_peak_stays_within_the_largest_charge(monkeypatch, check, per_n):
+    # the symbol and the per-band scalars do not grow with N
+    n = 2**18
+    charges = []
+
+    def charge(nbytes, what, charge=operator._charge):
+        charges.append(nbytes)
+        return charge(nbytes, what)
+
+    monkeypatch.setattr(operator, "_charge", charge)
+    monkeypatch.setattr(factorization, "_charge", charge)
+    _, peak_mb = peak_traced_mb(check, n)
+    assert max(charges) == charges[0] == per_n * n
+    assert peak_mb * 2**20 <= max(charges) + 2**14
 
 
 def test_toeplitz_comp_names_an_overflowing_power():

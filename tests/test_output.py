@@ -295,6 +295,11 @@ def test_generic_csv_refuses_non_finite():
 
 MALFORMED_CSV = {
     "vector-wrong-columns": (read_vector_csv, "k,re\n0,1\n", "expected columns k,re,im"),
+    # three columns of numbers, but re and im swapped, or not named at all
+    "vector-swapped-header": (read_vector_csv, "k,im,re\n0,1.0,0.0\n", "expected columns k,re,im"),
+    "vector-unknown-header": (read_vector_csv, "foo,bar,baz\n0,1.0,0.0\n", "expected columns k,re,im"),
+    "matrix-swapped-header": (read_matrix_csv, "n,m,im,re\n0,0,1.0,0.0\n",
+                              "expected columns n,m,re,im"),
     "vector-out-of-order": (read_vector_csv, "k,re,im\n1,0,0\n0,0,0\n",
                             "vector indices must run 0..N-1 in order"),
     "matrix-wrong-count": (read_matrix_csv, "n,m,re,im\n0,0,1,0\n1,1,0,0\n",

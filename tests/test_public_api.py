@@ -217,3 +217,19 @@ def test_record_defaults_and_checks():
         factorization.WeightedCompositionSpec(symbol.FourierSymbol({-1: 1.0}), 0.5)
     with pytest.raises(ValueError, match=r"^multiplier = \(nan\+0j\) is not finite$"):
         factorization.WeightedCompositionSpec(symbol.FourierSymbol({1: 1.0}), float("nan"))
+
+
+def test_entry_module_loads_only_what_it_needs_to_start():
+    """``__main__`` imports the CLI inside ``run``, where the collector is
+    paused for it: at module level it imports exactly these four."""
+    tree = _tree(Path(ltoeplitz.__file__).parent / "__main__.py")
+    imported, pending = set(), list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    assert imported == {"atexit", "gc", "os", "sys"}
