@@ -7,33 +7,42 @@ factorization identities, Hilbert-Schmidt and trace-norm bounds,
 singular-value decay, spectra of the weighted-composition factors, and the
 finite-rank dichotomy.
 
-The names in the ``__all__`` of ``symbol``, ``operator``, ``factorization``
-and ``spectral`` are the package's, but they are looked up on first access
-(PEP 562): a name imports the modules in that order up to the one that lists
-it, and ``__all__`` or ``dir()`` imports all four. So ``import ltoeplitz``
-and ``python -m ltoeplitz`` compile nothing a command does not run.
+``symbol``, ``operator``, ``factorization`` and ``spectral`` are bound here,
+and put in ``sys.modules``, as an import would leave them, but each module
+runs only when one of its attributes is first read
+(``importlib.util.LazyLoader``): the other modules import them plainly, and
+``import ltoeplitz`` and ``python -m ltoeplitz`` run nothing a command does
+not read. The names in their ``__all__`` are the package's, looked up on
+first access (PEP 562): a name runs the modules in that order up to the one
+that lists it, and ``__all__`` or ``dir()`` runs all four.
 """
 
-from importlib import import_module as _import_module
-
-_MODULES = ("symbol", "operator", "factorization", "spectral")
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
 
-def _module(name: str):
-    return _import_module(f".{name}", __name__)
+def _bind(name: str):
+    """The package module ``name``, put in ``sys.modules`` unexecuted."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _sys.modules[spec.name] = _util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_MODULES = symbol, operator, factorization, spectral = tuple(
+    map(_bind, ("symbol", "operator", "factorization", "spectral")))
 
 
 def __getattr__(name: str):
-    """One of the four modules, ``__all__`` (their lists joined in order), or
-    a name one of them lists, bound here from then on."""
-    if name in _MODULES:
-        return _module(name)
+    """``__all__`` (the four modules' lists joined in order), or a name one
+    of them lists, bound here from then on."""
     if name == "__all__":
-        value = [listed for module in _MODULES for listed in _module(module).__all__]
+        value = [listed for module in _MODULES for listed in module.__all__]
     else:
-        home = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        home = next((m for m in _MODULES if name in m.__all__), None)
         if home is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         value = getattr(home, name)
@@ -44,6 +53,6 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     """The names an eager package would hold: the four modules (and those
     they import), ``__all__`` and its names, and the module's own dunders."""
-    own = {"_import_module", "_MODULES", "_module", "__getattr__", "__dir__"}
+    own = {"_util", "_sys", "_bind", "_MODULES", "__getattr__", "__dir__"}
     listed = globals().get("__all__") or __getattr__("__all__")
     return sorted({*globals(), *listed} - own)

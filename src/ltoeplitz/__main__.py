@@ -13,14 +13,16 @@ import sys
 def run() -> None:
     """Run ``cli.main`` on the command line and exit with its status.
 
-    The collector is paused while the CLI and numpy are imported: their heap
-    lives until the process ends, so collecting it finds nothing. It is then
-    frozen out of the collector's reach, and collection runs again during
-    ``main``. Once ``main`` has returned, the atexit handlers run and stdout
-    and stderr are flushed, in the interpreter's own shutdown order; then
-    the process ends without tearing down its modules and heap, which the
-    OS reclaims anyway. An exception or ``SystemExit`` out of ``main``, or a
-    flush that fails (a closed pipe), takes the normal exit instead.
+    The collector is paused while the CLI imports ``cli``, ``output`` and
+    numpy: their heap lives until the process ends, so collecting it finds
+    nothing. It is then frozen out of the collector's reach, and collection
+    runs again during ``main``, where the package modules a command reads
+    run on first use. Once ``main`` has returned, the atexit handlers run
+    and stdout and stderr are flushed, in the interpreter's own shutdown
+    order; then the process ends without tearing down its modules and heap,
+    which the OS reclaims anyway. An exception or ``SystemExit`` out of
+    ``main``, or a flush that fails (a closed pipe), takes the normal exit
+    instead.
     ``cli.main`` itself never freezes or exits, as one process may call it
     many times.
     """

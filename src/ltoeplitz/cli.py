@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import operator
+from . import factorization, operator, spectral
 from . import symbol as symbol_mod
 from .output import (
     Records,
@@ -35,29 +34,6 @@ from .output import (
     read_vector_csv,
     write_text,
 )
-
-
-def _on_first_use(name: str):
-    """The package module ``name``, in ``sys.modules`` and bound on the
-    package from here on, as an import would leave it, but executed only
-    when one of its attributes is first read (``importlib.util.LazyLoader``).
-    A module imported already is returned as it is."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# Executed by the first handler that reads them: build, apply and
-# solve-recurrence read neither, verify reads no spectral.
-factorization = _on_first_use("factorization")
-spectral = _on_first_use("spectral")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -172,10 +148,10 @@ def _single_size(args: argparse.Namespace) -> int:
     return args.sizes[0]
 
 
-def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
+def _write(args: argparse.Namespace, payload, csv, summary) -> None:
     """Render only the format ``--format`` names: the JSON of ``payload()``
     or the CSV of ``csv()``, text or chunks, each written as it is
-    formatted. Write it to ``--out``, printing ``summary``, or to stdout.
+    formatted. Write it to ``--out``, printing ``summary()``, or to stdout.
 
     ``csv()`` may give one table per size, ``{N: text}``: stdout gets them
     one after another, a blank line apart, and ``--out`` one file per size
@@ -189,7 +165,7 @@ def _write(args: argparse.Namespace, payload, csv, summary: str) -> None:
     else:
         write_text(args.output_path, "\n".join(text.values()) if isinstance(text, dict) else text)
     if args.output_path is not None:
-        print(summary)
+        print(summary())
 
 
 # -- command handlers ----------------------------------------------------------
@@ -202,7 +178,9 @@ def _cmd_build(args: argparse.Namespace) -> list:
         args,
         lambda: {"N": size, "entries": Records(op.entries), "provenance": op.provenance},
         lambda: Records(op.entries).chunks(),
-        f"built N={size}, max|entry| = {fmt_float(np.max(np.abs(op.entries)))}",
+        # row by row: no N x N modulus
+        lambda: f"built N={size}, max|entry| = "
+                f"{fmt_float(max(np.abs(row).max() for row in op.entries))}",
     )
     return []
 
@@ -218,7 +196,7 @@ def _cmd_apply(args: argparse.Namespace) -> list:
     else:
         result = operator.apply_fast(spec, vec)
     _write(args, lambda: {"N": int(vec.size), "method": args.method, "values": Records(result)},
-           lambda: Records(result).chunks(), f"applied ({args.method}) at N={vec.size}")
+           lambda: Records(result).chunks(), lambda: f"applied ({args.method}) at N={vec.size}")
     return []
 
 
@@ -234,7 +212,7 @@ def _cmd_svd(args: argparse.Namespace) -> list:
         lambda: [{**r.to_json_dict(), "trace_norm_bound": b and b.to_json_dict()}
                  for r, b in zip(reports, bounds)],
         lambda: {r.size: csv_text("k,sigma_k", r.singular_value_rows()) for r in reports},
-        f"{done} N in {list(args.sizes)}" + (", trace-norm bound FAIL" if failed else ""),
+        lambda: f"{done} N in {list(args.sizes)}" + (", trace-norm bound FAIL" if failed else ""),
     )
     return [b for b in bounds if b is not None]
 
@@ -261,7 +239,7 @@ def _cmd_hsnorm(args: argparse.Namespace) -> list:
         rows.append(("kernel_quadrature", args.grid_size, payload["kernel_quadrature"]))
     rows.extend(("frobenius", t["N"], t["frobenius"]) for t in truncations)
     _write(args, lambda: payload, lambda: csv_text("quantity,N,value", rows),
-           f"closed form {fmt_float(closed)}")
+           lambda: f"closed form {fmt_float(closed)}")
     return []
 
 
@@ -273,7 +251,7 @@ def _emit_verifications(args: argparse.Namespace, results, gated) -> list:
             "identity,N,residual,tolerance,pass,variant",
             [(r.identity, r.size, r.residual, r.tolerance, r.passed, r.variant or "") for r in results],
         ),
-        f"{len(results)} check(s): {'pass' if all(r.passed for r in gated) else 'FAIL'}",
+        lambda: f"{len(results)} check(s): {'pass' if all(r.passed for r in gated) else 'FAIL'}",
     )
     return gated
 
@@ -296,7 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> list:
 def _cmd_rank(args: argparse.Namespace) -> list:
     study = spectral.finite_rank_study(_make_spec(args), args.sizes)
     _write(args, lambda: [{"N": n, "numerical_rank": r} for n, r in study],
-           lambda: csv_text("N,rank", study), f"ranks {[r for _, r in study]}")
+           lambda: csv_text("N,rank", study), lambda: f"ranks {[r for _, r in study]}")
     return []
 
 
@@ -325,7 +303,7 @@ def _cmd_norms(args: argparse.Namespace) -> list:
         lambda: {"sup_norm_estimate": target,
                  "norms": [{"N": n, "operator_norm": v} for n, v in study]},
         lambda: csv_text("N,operator_norm", study),
-        f"sup-norm estimate {fmt_float(target)}",
+        lambda: f"sup-norm estimate {fmt_float(target)}",
     )
     return []
 
@@ -334,6 +312,11 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> list:
     size = _single_size(args)
     spec = _make_spec(args)
     if args.b_matrix_path:
+        # the read holds at most 7 complex numbers an entry at once, and
+        # np.loadtxt's buffers up to 256 KB: the table (4 floats), its
+        # indices (2 integers, then the flat index and its count), the
+        # matrix, and the values it is filled from (2). The solve holds 2.
+        operator._charge(7 * 16 * size * size + 2**18, f"N={size} forcing matrix read")
         try:
             forcing = read_matrix_csv(args.b_matrix_path)
         except (ValueError, OSError) as exc:
@@ -359,7 +342,7 @@ def _cmd_solve_recurrence(args: argparse.Namespace) -> list:
         summary += f", max diff vs truncate = {fmt_float(diff)}"
         payload["max_diff_vs_truncate"] = diff
     _write(args, lambda: {**payload, "entries": Records(solved)},
-           lambda: Records(solved).chunks(), summary)
+           lambda: Records(solved).chunks(), lambda: summary)
     return []
 
 
@@ -375,7 +358,7 @@ def _cmd_sawtooth_demo(args: argparse.Namespace) -> list:
         lambda: {"norms": [{"N": n, "operator_norm": v} for n, v in study],
                  "growth_factor": growth, "pass": ok},
         lambda: csv_text("N,operator_norm", study),
-        f"growth factor {growth_txt} ({'pass' if ok else 'FAIL'})",
+        lambda: f"growth factor {growth_txt} ({'pass' if ok else 'FAIL'})",
     )
     return [] if growth is None else [operator.VerificationResult(
         "sawtooth-growth", study[-1][0], SAWTOOTH_GROWTH_FACTOR - growth, 0.0, ok)]

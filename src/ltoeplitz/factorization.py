@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import spectral  # runs on first read: `spectrum` reads none of it
 from .operator import (
     LambdaToeplitzSpec,
     TruncatedOperator,
@@ -85,9 +86,7 @@ def build_weighted_comp(w: WeightedCompositionSpec, size: int) -> TruncatedOpera
 def wco_hs_norm_closed_form(w: WeightedCompositionSpec) -> float:
     """Hilbert-Schmidt norm of W(psi, c), the operator of (c, psi):
     l2_norm(weight) / sqrt(1 - |multiplier|^2)."""
-    from .spectral import hs_norm_closed_form  # here, so that `spectrum` leaves spectral unexecuted
-
-    return hs_norm_closed_form(LambdaToeplitzSpec(w.multiplier, w.weight))
+    return spectral.hs_norm_closed_form(LambdaToeplitzSpec(w.multiplier, w.weight))
 
 
 def wco_spectrum_check(w: WeightedCompositionSpec, size: int) -> VerificationResult:

@@ -217,11 +217,11 @@ def top_singular_value(spec: LambdaToeplitzSpec, size: int) -> float:
     n = _checked_size(size)
     scaled, e = _unit_scaled(spec.symbol, n)
     # Besides the products of ``prepare`` and w, the last of them, a step
-    # holds v and v_prev; each stored coefficient at most 256 bytes: the
-    # sorted (d, a) pair ``_unit_scaled`` reads it into and, for |d| < N, its
-    # entry in the scaled symbol and in the band arrays of ``prepare``; and
+    # holds v and v_prev; each band |d| < N that ``_unit_scaled`` keeps, at
+    # most 2N - 1 of them, at most 256 bytes: its entry in the scaled symbol
+    # and its sorted (d, a) pair and band-array entries in ``prepare``; and
     # the FFT calls and the loop a few KB (``_STEP_OVERHEAD``).
-    own = 16 * 2 * n + 256 * len(spec.symbol.support) + _STEP_OVERHEAD
+    own = 16 * 2 * n + 256 * len(scaled._coeffs) + _STEP_OVERHEAD
     held = []
     matvec, rmatvec = prepare(
         LambdaToeplitzSpec(spec.lam, scaled), n,

@@ -198,7 +198,7 @@ class TestExitStatusContract:
      # 4 vectors of length 40 and 5 of the FFT length 44
      (("apply", "--vector", "x40.csv"), "N=40 FFT products", "0.001"),
      (("solve-recurrence", "--sizes", "40"), "N=40 dense truncation", "0.01"),
-     (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 recurrence solution",
+     (("solve-recurrence", "--sizes", "40", "--b-matrix", "b40.csv"), "N=40 forcing matrix read",
       "0.01"),
      (("svd", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation", "0.01"),
      (("rank", "--lambda-re", "0.5", "--sizes", "40"), "N=40 dense truncation", "0.01"),
@@ -624,6 +624,15 @@ class TestBoundaryInput:
         assert code == 2 and peak_mb < 1.0
         assert "N=20000000: one Lanczos step needs" in capsys.readouterr().err
 
+    def test_norms_charges_only_the_bands_a_step_keeps(self, tmp_path, monkeypatch, capsys):
+        # the K = 20000 ramp stores 40001 coefficients, but a step at N = 64
+        # keeps its 127 bands |d| < 64; its two grids take 1.22 MB
+        path = tmp_path / "ramp.json"
+        write_symbol_file(sawtooth(20000), path)
+        monkeypatch.setenv("LT_MEM_BUDGET_MB", "2")
+        assert run_cli("norms", "--symbol", path, "--lambda-re", "-1", "--sizes", "64") == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "args, what",
         [(("hsnorm", "--lambda-re", "0.5"), "powers needs 1.53e+06"),
@@ -853,6 +862,23 @@ class TestBuild:
         assert peak_mb < 120
         if fmt == "csv":
             assert peak_mb <= self._n1024_peak_mb(tmp_path, "json") + 5
+
+
+    def test_summary_is_formed_row_by_row_and_only_for_out(self, two_cos_path, tmp_path,
+                                                           monkeypatch, capsys):
+        # max|entry| takes no N x N modulus, and stdout never prints it
+        code, peak_mb = peak_traced_mb(
+            run_cli, "build", "--symbol", two_cos_path, "--lambda-re", "0.8", "--sizes", "1024",
+            "--out", tmp_path / "t.json")
+        assert code == 0 and peak_mb < 19
+        assert capsys.readouterr().out == "built N=1024, max|entry| = 1\n"
+
+        def summary(x):
+            raise AssertionError("the summary was formed for stdout")
+
+        monkeypatch.setattr(ltoeplitz.cli, "fmt_float", summary)
+        assert run_cli("build", "--symbol", two_cos_path, "--sizes", "8") == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 8
 
 
 class TestApply:
@@ -1214,15 +1240,20 @@ class TestSolveRecurrence:
     def test_forcing_path_is_charged_before_the_solve(self, two_cos_path, tmp_path, monkeypatch,
                                                       capsys):
         # without --b-matrix the truncation it is compared with is charged;
-        # with it, the N x N solution itself, before solve_recurrence allocates it
+        # with it, what the read and the solve hold, before the file is read
+        def read(path):
+            raise AssertionError("the forcing matrix was read before the budget check")
+
         b_path, out = tmp_path / "b40.csv", tmp_path / "a.json"
         b_path.write_text("".join(Records(np.ones((40, 40), dtype=complex)).chunks()))
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
-        assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
-                       "--b-matrix", b_path, "--out", out) == 2
+        with monkeypatch.context() as unread:
+            unread.setattr(ltoeplitz.cli, "read_matrix_csv", read)
+            assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
+                           "--b-matrix", b_path, "--out", out) == 2
         assert not out.exists()
         assert capsys.readouterr().err == (
-            "error: N=40 recurrence solution needs 0.0244 MB; budget 0.01 MB (LT_MEM_BUDGET_MB)\n")
+            "error: N=40 forcing matrix read needs 0.421 MB; budget 0.01 MB (LT_MEM_BUDGET_MB)\n")
         monkeypatch.delenv("LT_MEM_BUDGET_MB")
         assert run_cli("solve-recurrence", "--symbol", two_cos_path, "--sizes", "40",
                        "--b-matrix", b_path, "--out", out) == 0
@@ -1243,6 +1274,25 @@ class TestSolveRecurrence:
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.05")
         assert run_cli(*args) == 0
         assert json.loads(out.read_text())["max_diff_vs_truncate"] < 1e-13
+
+    def test_forcing_path_peak_stays_within_the_largest_charge(self, two_cos_path, tmp_path,
+                                                               monkeypatch):
+        n = 512
+        rng = np.random.default_rng(5)
+        b_path = tmp_path / "b.csv"
+        b_path.write_text("".join(Records(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).chunks()))
+        charges = []
+
+        def charge(nbytes, what, charge=ltoeplitz.operator._charge):
+            charges.append(nbytes)
+            return charge(nbytes, what)
+
+        monkeypatch.setattr(ltoeplitz.operator, "_charge", charge)
+        code, peak_mb = peak_traced_mb(
+            run_cli, "solve-recurrence", "--symbol", two_cos_path, "--lambda-re", "0.4",
+            "--sizes", n, "--b-matrix", b_path, "--format", "csv", "--out", tmp_path / "a.csv")
+        assert code == 0 and peak_mb * 2**20 <= max(charges) + 2**14
 
     def test_comparison_holds_no_third_matrix(self, two_cos_path, tmp_path):
         # the zero forcing is one broadcast element and the difference is

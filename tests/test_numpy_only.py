@@ -57,44 +57,46 @@ def test_cli_import_binds_all_six_modules():
     assert json.loads(result.stdout) == [[], []]
 
 
-def test_package_name_imports_only_the_modules_up_to_its_own():
-    env = dict(os.environ, PYTHONPATH=str(Path(ltoeplitz.__file__).resolve().parents[1]))
-    code = (
-        "import json, sys, ltoeplitz\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.startswith('ltoeplitz.'))\n"
-        "before = loaded()\n"
-        "ltoeplitz.truncate\n"
-        "print(json.dumps([before, loaded()]))"
+def _audited(code: str):
+    """The JSON that ``code`` prints last, run in a new process where
+    ``ran()`` lists the package modules whose bodies have executed so far
+    (the ``exec`` audit event of each module's code, with or without
+    bytecode)."""
+    package = Path(ltoeplitz.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    prelude = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "files = set()\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and "
+        "files.add(getattr(args[0], 'co_filename', '')))\n"
+        "def ran(): return sorted(Path(f).stem for f in files "
+        f"if Path(f).parent == Path({str(package)!r}))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, check=True
     )
-    # symbol imports output, its writer
-    assert json.loads(result.stdout) == [
-        [], ["ltoeplitz.operator", "ltoeplitz.output", "ltoeplitz.symbol"]
-    ]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_package_name_imports_only_the_modules_up_to_its_own():
+    # the four modules are bound on import, but run on first read; symbol
+    # imports output, its writer
+    code = "import ltoeplitz\nbefore = ran()\nltoeplitz.truncate\nprint(json.dumps([before, ran()]))"
+    assert _audited(code) == [["__init__"], ["__init__", "operator", "output", "symbol"]]
+
+
+def test_cli_import_runs_only_cli_and_output():
+    # the handlers read factorization, operator, spectral and symbol, which
+    # run where a command first reads them
+    assert _audited("import ltoeplitz.cli\nprint(json.dumps(ran()))") == ["__init__", "cli", "output"]
 
 
 def _executed_by(runs) -> tuple[list, list]:
     """Exit codes of the argv lists, run through ``cli.main`` in one new
-    process, and the package modules whose bodies that process executed (the
-    ``exec`` audit event of each module's code, with or without bytecode)."""
-    package = Path(ltoeplitz.__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(package.parent))
-    code = (
-        "import json, sys\n"
-        "ran = set()\n"
-        "sys.addaudithook(lambda event, args: event == 'exec' and "
-        "ran.add(getattr(args[0], 'co_filename', '')))\n"
-        "from ltoeplitz.cli import main\n"
-        f"codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, sorted(ran)]))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    codes, ran = json.loads(result.stdout.splitlines()[-1])
-    return codes, sorted(Path(f).stem for f in ran if Path(f).parent == package)
+    process, and the package modules whose bodies that process executed."""
+    code = f"from ltoeplitz.cli import main\nprint(json.dumps([[main(argv) for argv in {runs!r}], ran()]))"
+    return tuple(_audited(code))
 
 
 @pytest.fixture

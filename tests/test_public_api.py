@@ -55,22 +55,14 @@ def test_every_public_function_has_a_caller():
     """A listed function is read somewhere in the package, as a bare name or
     as an attribute of a package module, or is one the acceptance tests
     import; ``entry``, the scalar closed-form oracle, is the one exception.
-    A package module is a name bound by ``from . import X`` or, loaded on
-    first use, by ``X = loader("X")`` with X a module of the package. An
-    attribute of any other object (``x.support``) does not count."""
+    A package module is a name bound by ``from . import X``. An attribute of
+    any other object (``x.support``) does not count."""
     paths = list(Path(ltoeplitz.__file__).parent.glob("*.py"))
     nodes = [n for p in paths for n in ast.walk(_tree(p))]
     modules = {
         a.asname or a.name
         for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module is None
         for a in n.names
-    }
-    modules |= {
-        t.id
-        for n in nodes if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
-        for t in n.targets
-        if isinstance(t, ast.Name) and t.id in {p.stem for p in paths}
-        and [getattr(a, "value", None) for a in n.value.args] == [t.id]
     }
     named = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     named |= {
@@ -84,6 +76,30 @@ def test_every_public_function_has_a_caller():
         if inspect.isfunction(getattr(m, name)) and name not in named | imported | {"entry"}
     ]
     assert uncalled == []
+
+
+def test_modules_run_lazily_by_one_mechanism():
+    """``__init__`` alone imports ``importlib``, to bind the four modules
+    that run on first read, and no function imports a package module, so
+    each module imports the others plainly at its top. The one exception is
+    ``__main__.run``, which imports the CLI with the collector paused."""
+    importlib_users, in_functions = set(), []
+    for path in sorted(Path(ltoeplitz.__file__).parent.glob("*.py")):
+        tree = _tree(path)
+        importlib_users.update(
+            path.name for n in ast.walk(tree)
+            if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "importlib" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "importlib"
+        )
+        in_functions += [
+            f"{path.stem}.{f.name}" for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in ast.walk(f)
+            if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("ltoeplitz"))
+            or isinstance(n, ast.Import) and any(a.name.split(".")[0] == "ltoeplitz" for a in n.names)
+        ]
+    assert importlib_users == {"__init__.py"}
+    assert in_functions == ["__main__.run"]
 
 
 def test_only_three_parameters_have_a_default():

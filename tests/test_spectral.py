@@ -421,10 +421,11 @@ class TestTopSingularValue:
         spec = LambdaToeplitzSpec(-1.0, sawtooth(1024))
         unbudgeted = top_singular_value(spec, 1024)
         # one Lanczos step holds 6 vectors of length 1024, 5 of length 2048,
-        # 256 bytes for each of the 2049 coefficients and 16 KB more
+        # 256 bytes for each of the 2047 bands |d| < 1024 (of the 2049
+        # stored) and 16 KB more
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "0.01")
         with pytest.raises(MemoryBudgetExceeded, match=(
-                r"^N=1024: one Lanczos step needs 0\.766 MB; budget 0\.01 MB \(LT_MEM_BUDGET_MB\)$")):
+                r"^N=1024: one Lanczos step needs 0\.765 MB; budget 0\.01 MB \(LT_MEM_BUDGET_MB\)$")):
             top_singular_value(spec, 1024)
         monkeypatch.setenv("LT_MEM_BUDGET_MB", "4")
         assert top_singular_value(spec, 1024) == unbudgeted
@@ -490,6 +491,27 @@ class TestTopSingularValue:
             # and at most twice the peak
             monkeypatch.setenv("LT_MEM_BUDGET_MB", repr(2 * peak_mb))
             assert top_singular_value(spec, 1024) == top
+
+    @pytest.mark.parametrize("k, n", [(20000, 64), (4095, 4096)], ids=["K>N", "K=N-1"])
+    def test_traced_peak_stays_within_the_step_charge(self, monkeypatch, k, n):
+        # the step charge counts the 2N - 1 bands |d| < N, the same for the
+        # K = 20000 ramp at N = 64 as for the K = N - 1 one, not the 2K + 1
+        # stored; the first charge is the step's, the rest its Ritz problems
+        spec = LambdaToeplitzSpec(-1.0, sawtooth(k))
+        top_singular_value(spec, n)  # what numpy's FFT keeps for the process
+        charges = []
+
+        def charge(nbytes, what, charge=spectral._charge):
+            charges.append(nbytes)
+            return charge(nbytes, what)
+
+        monkeypatch.setattr(spectral, "_charge", charge)
+        _, peak_mb = peak_traced_mb(top_singular_value, spec, n)
+        step = charges[0]
+        assert peak_mb * 2**20 <= step
+        charges.clear()
+        top_singular_value(LambdaToeplitzSpec(-1.0, sawtooth(n - 1)), n)
+        assert charges[0] == step
 
     @pytest.mark.parametrize("lam", CIRCLE_LAMBDAS)
     @pytest.mark.parametrize("case", CIRCLE_CASES)
